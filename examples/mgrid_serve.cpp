@@ -495,6 +495,7 @@ int run_synthetic(const util::Config& config) {
 
   std::uint64_t submitted = 0;
   std::uint64_t wire_rejected = 0;
+  bool wal_failed = false;
   const auto start = std::chrono::steady_clock::now();
   // ticks == 0 runs until /quitz or a signal requests shutdown.
   for (std::size_t k = static_cast<std::size_t>(resume_tick) + 1;
@@ -530,10 +531,17 @@ int run_synthetic(const util::Config& config) {
       ++submitted;
     }
     pipeline.flush();
-    // Tick barrier: every accepted LU of tick k is already in the WAL (the
-    // pipeline appends under the queue lock before flush() returns), so the
-    // tick record marks a consistent cut; a crash after it recovers forward.
-    if (wal != nullptr) wal->append_tick(t, k);
+    // Tick barrier: every accepted LU of tick k is already in the WAL's
+    // buffer (the pipeline appends under the queue lock before flush()
+    // returns), and append_tick writes that buffer with the tick record
+    // behind it, so the file ends on a consistent cut; a crash after it
+    // recovers forward. A barrier the WAL cannot write ends the run.
+    if (wal != nullptr && !wal->append_tick(t, k)) {
+      std::cerr << "error: WAL write failed at tick " << k << ": "
+                << wal->path() << '\n';
+      wal_failed = true;
+      break;
+    }
     directory.advance_estimates(t);
     if (wal != nullptr && snapshot_every > 0 && k % snapshot_every == 0) {
       const std::uint64_t covered =
@@ -574,6 +582,7 @@ int run_synthetic(const util::Config& config) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
   pipeline.stop();
+  if (wal_failed) return 1;
   const serve::IngestStats ingest_stats = pipeline.stats();
 
   std::cout << "synthetic: " << nodes << " MNs x "

@@ -226,13 +226,16 @@ bool LuServer::dispatch(FrameConn& conn, wire::Message& msg,
     return true;
   }
   if (const auto* tick = std::get_if<wire::TickMsg>(&msg)) {
+    bool logged = true;
     {
       // The single-process driver's barrier sequence, verbatim: flush (all
       // accepted LUs applied and WAL'd), tick record, estimate advance —
       // then replication, which snapshots/streams this exact state.
       const std::lock_guard<std::mutex> barrier(barrier_mutex_);
       hooks_.pipeline->flush();
-      if (hooks_.wal != nullptr) hooks_.wal->append_tick(tick->t, tick->tick);
+      if (hooks_.wal != nullptr) {
+        logged = hooks_.wal->append_tick(tick->t, tick->tick);
+      }
       hooks_.directory->advance_estimates(tick->t);
       if (hooks_.replication != nullptr) {
         hooks_.replication->on_tick(
@@ -242,8 +245,14 @@ bool LuServer::dispatch(FrameConn& conn, wire::Message& msg,
       if (hooks_.on_tick) hooks_.on_tick(tick->t, tick->tick);
     }
     ticks_.fetch_add(1, std::memory_order_relaxed);
+    // The directory advanced either way, but a barrier the WAL could not
+    // write is not durable: the router must see the tick fail.
     std::vector<std::uint8_t> reply;
-    wire::encode(reply, wire::AckMsg{0, wire::AckStatus::kOk, tick->t});
+    wire::encode(reply,
+                 wire::AckMsg{0,
+                              logged ? wire::AckStatus::kOk
+                                     : wire::AckStatus::kRejected,
+                              tick->t});
     return conn.send(reply);
   }
   if (const auto* lookup = std::get_if<wire::LookupMsg>(&msg)) {

@@ -295,16 +295,30 @@ Follower::Follower(serve::ShardedDirectory& directory, FollowerOptions options)
   }
 }
 
+Follower::~Follower() {
+  if (socket_fd_ >= 0) ::close(socket_fd_);
+}
+
 bool Follower::connect(std::string* error) {
   std::string local_error;
   const int fd = connect_tcp(options_.host, options_.port,
                              options_.connect_timeout_seconds, local_error);
-  if (fd < 0) {
+  const int read_fd = fd >= 0 ? ::dup(fd) : -1;
+  if (fd >= 0 && read_fd < 0) {
+    local_error = std::string("dup: ") + std::strerror(errno);
+    ::close(fd);
+  }
+  if (read_fd < 0) {
     error_ = local_error;
     if (error != nullptr) *error = local_error;
     return false;
   }
-  conn_ = FrameConn(fd, options_.io_timeout_seconds);
+  {
+    const std::lock_guard<std::mutex> lock(socket_mutex_);
+    if (socket_fd_ >= 0) ::close(socket_fd_);
+    socket_fd_ = fd;
+  }
+  conn_ = FrameConn(read_fd, options_.io_timeout_seconds);
   std::vector<std::uint8_t> frame;
   wire::encode(frame, wire::SubscribeMsg{0, 0});
   if (!conn_.send(frame)) {
@@ -316,6 +330,14 @@ bool Follower::connect(std::string* error) {
 }
 
 bool Follower::run() {
+  const bool clean = consume();
+  // However the stream ended, the primary sees the connection close now
+  // rather than when this follower is destroyed.
+  shutdown_socket();
+  return clean;
+}
+
+bool Follower::consume() {
   std::vector<std::uint8_t> snapshot_bytes;
   for (;;) {
     if (stop_.load(std::memory_order_acquire)) return true;
@@ -406,7 +428,12 @@ bool Follower::run() {
 
 void Follower::stop() {
   stop_.store(true, std::memory_order_release);
-  if (conn_.connected()) ::shutdown(conn_.fd(), SHUT_RDWR);
+  shutdown_socket();
+}
+
+void Follower::shutdown_socket() {
+  const std::lock_guard<std::mutex> lock(socket_mutex_);
+  if (socket_fd_ >= 0) ::shutdown(socket_fd_, SHUT_RDWR);
 }
 
 Follower::Stats Follower::stats() const {

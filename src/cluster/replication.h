@@ -171,14 +171,20 @@ class Follower {
   /// `directory` should be empty and configured identically to the
   /// primary's (same estimator stack — snapshot restore fails otherwise).
   Follower(serve::ShardedDirectory& directory, FollowerOptions options);
+  ~Follower();
+
+  Follower(const Follower&) = delete;
+  Follower& operator=(const Follower&) = delete;
 
   /// Connects and subscribes. Returns false with `error` set on failure.
+  /// Not concurrently with run().
   bool connect(std::string* error = nullptr);
 
   /// Consumes the stream until the primary disconnects or stop() is
   /// called: snapshot chunks assemble and apply first, then each kLu is a
   /// serial directory update and each kTick an advance_estimates — exactly
-  /// WAL-replay semantics. Returns true on clean end-of-stream.
+  /// WAL-replay semantics. Returns true on clean end-of-stream. On return
+  /// the connection is shut down.
   bool run();
 
   /// Unblocks run() (thread-safe, idempotent).
@@ -201,8 +207,17 @@ class Follower {
   }
 
  private:
+  bool consume();
+  void shutdown_socket();
+
   serve::ShardedDirectory& directory_;
   FollowerOptions options_;
+  /// The connected socket, owned here and closed only by connect() and the
+  /// destructor. stop() shuts it down under socket_mutex_ while run() reads
+  /// through conn_, which holds a dup(2) of it: conn_ may close its copy at
+  /// any time without freeing the fd number stop() uses.
+  std::mutex socket_mutex_;
+  int socket_fd_ = -1;
   FrameConn conn_;
   std::atomic<bool> stop_{false};
   mutable std::mutex stats_mutex_;

@@ -187,9 +187,15 @@ obs::http::Response AdminServer::varz() const {
 
 bool AdminServer::is_ready(std::string* reason) const {
   IngestPipeline* pipeline = nullptr;
+  WalWriter* wal = nullptr;
   {
     const std::lock_guard<std::mutex> lock(rebind_mutex_);
     pipeline = hooks_.pipeline;
+    wal = hooks_.wal;
+  }
+  if (wal != nullptr && wal->failed()) {
+    if (reason != nullptr) *reason = "wal failed: " + wal->path();
+    return false;
   }
   if (pipeline != nullptr) {
     const std::uint64_t pending = pipeline->pending();

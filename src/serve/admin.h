@@ -9,7 +9,7 @@
 //   GET /readyz   readiness: 200 once ingest is caught up (pipeline
 //                 backlog at or under ready_max_pending and the driver's
 //                 ready predicate, when set, agrees); 503 with the reason
-//                 otherwise
+//                 otherwise — "wal failed: <path>" once the WAL has failed
 //   GET /statusz  JSON snapshot (mgrid-statusz-v1): build info, process
 //                 role, uptime, directory shard occupancy,
 //                 ingest/backpressure counters and per-source queue depths,
@@ -72,7 +72,8 @@ struct AdminHooks {
   ShardedDirectory* directory = nullptr;    ///< Optional.
   IngestPipeline* pipeline = nullptr;       ///< Optional.
   obs::SloMonitor* slo = nullptr;           ///< Optional.
-  WalWriter* wal = nullptr;                 ///< Optional: /statusz wal block.
+  /// Optional: /statusz wal block; a failed WAL holds /readyz at 503.
+  WalWriter* wal = nullptr;
   /// Optional: /tracez exemplars + slowest spans, /statusz spans block.
   obs::SpanTracer* spans = nullptr;
   /// Current sim-time, for the /statusz staleness block (with directory).

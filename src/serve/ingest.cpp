@@ -169,12 +169,16 @@ bool IngestPipeline::submit_internal(const wire::LuMsg& msg,
       item.enqueued = std::chrono::steady_clock::now();
     }
     queue.lus.push_back(item);
-    queue.last_position[msg.mn] = geo::Vec2{msg.x, msg.y};
-    // WAL write inside the queue lock: the log's per-MN record order is the
+    // The displacement baseline is read only by the shedding check above.
+    if (shed_threshold_ != std::numeric_limits<std::size_t>::max()) {
+      queue.last_position[msg.mn] = geo::Vec2{msg.x, msg.y};
+    }
+    // WAL append inside the queue lock: the log's per-MN record order is the
     // queue's, so serial replay reproduces exactly what the workers apply.
     if (options_.wal != nullptr) {
       if (span_sampled) {
-        // Carve the WAL append (+fsync) out of the queue-wait stage.
+        // Carve the WAL append (a buffer append; a write(2) when the buffer
+        // fills) out of the queue-wait stage.
         const auto wal_start = std::chrono::steady_clock::now();
         options_.wal->append(msg);
         queue.lus.back().wal_ns = static_cast<std::uint64_t>(

@@ -82,7 +82,9 @@ struct IngestOptions {
   double shed_min_displacement = 5.0;
   /// Write-ahead log: when set, every *accepted* LU is appended under the
   /// source-queue lock — WAL order equals queue order per MN, so serial
-  /// replay reproduces the directory exactly. Shed and rejected LUs never
+  /// replay reproduces the directory exactly. The append only buffers the
+  /// record; it reaches the file at the next tick barrier
+  /// (WalWriter::append_tick) at the latest. Shed and rejected LUs never
   /// reach the WAL. Must outlive the pipeline.
   WalWriter* wal = nullptr;
   /// Latency attribution: when set, deterministically sampled LUs record
@@ -190,7 +192,8 @@ class IngestPipeline {
     mutable std::mutex mutex;
     std::deque<QueuedLu> lus;
     /// Last accepted position per MN on this source — the displacement
-    /// baseline for admission control (guarded by `mutex`).
+    /// baseline for admission control, kept only while shedding is enabled
+    /// (guarded by `mutex`).
     std::unordered_map<std::uint32_t, geo::Vec2> last_position;
   };
 

@@ -53,11 +53,16 @@ const std::array<std::uint32_t, 256>& crc32c_table() {
   return table;
 }
 
-void put_u32_le(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v >> 16));
-  out.push_back(static_cast<std::uint8_t>(v >> 24));
+// The writer's buffer goes to the file once it holds this many bytes: a
+// few write(2) calls per tick at 200k LU/s, and a bounded write under the
+// caller's source-queue lock.
+constexpr std::size_t kFlushBytes = 64 * 1024;
+
+void store_u32_le(std::uint8_t* p, std::uint32_t v) {
+  p[0] = static_cast<std::uint8_t>(v);
+  p[1] = static_cast<std::uint8_t>(v >> 8);
+  p[2] = static_cast<std::uint8_t>(v >> 16);
+  p[3] = static_cast<std::uint8_t>(v >> 24);
 }
 
 std::uint32_t get_u32_le(const std::uint8_t* p) {
@@ -151,33 +156,51 @@ WalWriter::WalWriter(const std::string& path, FsyncPolicy policy)
                                " is not an mgrid-wal-v1 file");
     }
   }
+  // One record of headroom: the buffer is written once it crosses
+  // kFlushBytes, so it never grows past that by more than one record.
+  buffer_.reserve(kFlushBytes + 1024);
 }
 
 WalWriter::~WalWriter() {
   if (fd_ >= 0) {
+    (void)write_buffer_locked();
     ::fsync(fd_);
     ::close(fd_);
   }
 }
 
-bool WalWriter::append_frame_locked(const std::vector<std::uint8_t>& frame) {
+template <typename Msg>
+bool WalWriter::append_locked(const Msg& msg) {
   if (failed_ || fd_ < 0) return false;
-  scratch_.clear();
-  put_u32_le(scratch_, crc32c(frame.data(), frame.size()));
-  scratch_.insert(scratch_.end(), frame.begin(), frame.end());
-  if (!write_all(fd_, scratch_.data(), scratch_.size())) {
-    failed_ = true;
-    return false;
-  }
+  // [u32 crc32c][frame]: reserve the CRC slot, encode the frame behind it,
+  // then fill the slot in.
+  const std::size_t start = buffer_.size();
+  buffer_.resize(start + 4);
+  wire::encode(buffer_, msg);
+  const std::size_t record_bytes = buffer_.size() - start;
+  store_u32_le(buffer_.data() + start,
+               crc32c(buffer_.data() + start + 4, record_bytes - 4));
   records_ += 1;
-  bytes_ += scratch_.size();
+  bytes_ += record_bytes;
   if (obs::enabled()) {
     WalMetrics& metrics = wal_metrics();
     metrics.records.inc();
-    metrics.bytes.inc(scratch_.size());
+    metrics.bytes.inc(record_bytes);
   }
-  if (policy_ == FsyncPolicy::kEveryRecord) return sync_locked();
+  if (policy_ == FsyncPolicy::kEveryRecord) {
+    return write_buffer_locked() && sync_locked();
+  }
+  if (buffer_.size() >= kFlushBytes) return write_buffer_locked();
   return true;
+}
+
+bool WalWriter::write_buffer_locked() {
+  if (failed_ || fd_ < 0) return false;
+  if (buffer_.empty()) return true;
+  const bool written = write_all(fd_, buffer_.data(), buffer_.size());
+  buffer_.clear();
+  if (!written) failed_ = true;
+  return written;
 }
 
 bool WalWriter::sync_locked() {
@@ -191,24 +214,24 @@ bool WalWriter::sync_locked() {
 }
 
 bool WalWriter::append(const wire::LuMsg& msg) {
-  std::vector<std::uint8_t> frame;
-  wire::encode(frame, msg);
   std::lock_guard<std::mutex> lock(mutex_);
-  return append_frame_locked(frame);
+  return append_locked(msg);
 }
 
 bool WalWriter::append_tick(double t, std::uint64_t tick) {
-  std::vector<std::uint8_t> frame;
-  wire::encode(frame, wire::TickMsg{t, tick});
   std::lock_guard<std::mutex> lock(mutex_);
-  if (!append_frame_locked(frame)) return false;
+  // The barrier goes out in the same write as the records before it, so
+  // the file never holds a kTick whose tick is incomplete.
+  if (!append_locked(wire::TickMsg{t, tick}) || !write_buffer_locked()) {
+    return false;
+  }
   if (policy_ == FsyncPolicy::kEveryTick) return sync_locked();
   return true;
 }
 
 bool WalWriter::sync() {
   std::lock_guard<std::mutex> lock(mutex_);
-  return sync_locked();
+  return write_buffer_locked() && sync_locked();
 }
 
 std::uint64_t WalWriter::records_appended() const noexcept {

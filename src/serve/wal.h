@@ -1,12 +1,21 @@
 // Write-ahead log for the serving plane (mgrid-wal-v1).
 //
 // Durability contract: every LU admitted by the ingest pipeline is appended
-// to the WAL *before* it becomes visible in the directory, and every tick
-// barrier (flush + advance_estimates) is recorded as a kTick frame. Because
-// directory state is a pure function of the per-MN LU substreams plus the
-// tick schedule (see serve/replay.h), serially replaying the WAL reproduces
-// the directory bit-identically — for any worker count the live process
+// to the WAL in queue order, and every tick barrier (flush +
+// advance_estimates) is recorded as a kTick frame. The writer group-commits:
+// records are encoded into one in-memory buffer that reaches the file when
+// it fills, at every tick barrier, on sync() and on destruction. A kTick
+// record therefore reaches the file only after every record before it, so
+// the file always ends on a consistent prefix of the log. Records after the
+// last barrier may be lost in a crash; recovery drops them anyway (it
+// replays only up to the last complete kTick). Because directory state is a
+// pure function of the per-MN LU substreams plus the tick schedule (see
+// serve/replay.h), serially replaying the WAL reproduces the directory
+// bit-identically at that barrier — for any worker count the live process
 // used.
+//
+// A write error surfaces at the call that writes the buffer — usually
+// append_tick() — and marks the writer failed for good.
 //
 // File layout:
 //   [8-byte header: "MGWL" magic, version u8 = 1, 3 pad bytes]
@@ -54,39 +63,49 @@ class WalWriter {
   /// this). Throws std::runtime_error on I/O errors or a foreign header.
   explicit WalWriter(const std::string& path,
                      FsyncPolicy policy = FsyncPolicy::kEveryTick);
+  /// Writes the buffered records, fsyncs and closes.
   ~WalWriter();
 
   WalWriter(const WalWriter&) = delete;
   WalWriter& operator=(const WalWriter&) = delete;
 
-  /// Appends one LU record. Returns false on write failure (the WAL is
-  /// then considered broken; subsequent appends also fail).
+  /// Buffers one LU record; the buffer goes to the file once it is full
+  /// (every record under kEveryRecord). Returns false once the WAL has
+  /// failed (then every later call fails too).
   bool append(const wire::LuMsg& msg);
-  /// Appends one tick-barrier record, honouring FsyncPolicy::kEveryTick.
+  /// Appends one tick-barrier record and writes the buffer, so the barrier
+  /// and everything before it are in the file on return; then fsyncs under
+  /// kEveryTick. Returns false on a write or fsync failure.
   bool append_tick(double t, std::uint64_t tick);
 
-  /// Forces an fsync regardless of policy. Returns false on failure.
+  /// Writes the buffer and forces an fsync regardless of policy. Returns
+  /// false on failure.
   bool sync();
 
-  /// Records appended by *this writer* (excludes pre-existing content).
+  /// Records appended by *this writer* (excludes pre-existing content),
+  /// buffered ones included.
   [[nodiscard]] std::uint64_t records_appended() const noexcept;
-  /// Bytes appended by this writer.
+  /// Bytes appended by this writer, buffered ones included.
   [[nodiscard]] std::uint64_t bytes_appended() const noexcept;
-  /// True once any append or sync has failed.
+  /// True once any write or sync has failed.
   [[nodiscard]] bool failed() const noexcept;
 
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
   [[nodiscard]] FsyncPolicy policy() const noexcept { return policy_; }
 
  private:
-  bool append_frame_locked(const std::vector<std::uint8_t>& frame);
+  /// Encodes `[crc32c][frame]` for `msg` at the end of buffer_.
+  template <typename Msg>
+  bool append_locked(const Msg& msg);
+  bool write_buffer_locked();
   bool sync_locked();
 
   std::string path_;
   FsyncPolicy policy_;
   int fd_ = -1;
   mutable std::mutex mutex_;
-  std::vector<std::uint8_t> scratch_;
+  /// Encoded records not yet written to fd_.
+  std::vector<std::uint8_t> buffer_;
   std::uint64_t records_ = 0;
   std::uint64_t bytes_ = 0;
   bool failed_ = false;

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "../serve/file_size_limit.h"
 #include "cluster/client.h"
 #include "estimation/estimator.h"
 #include "serve/directory.h"
@@ -142,6 +143,39 @@ TEST(LuServer, StreamedTicksMatchLocalPipelineBitExact) {
   EXPECT_EQ(wal.records_appended(), lus + kTicks);
 
   local.stop();
+  fs::remove_all(wal_dir);
+}
+
+TEST(LuServer, ABarrierTheWalCannotWriteFailsTheTick) {
+  const std::string wal_dir =
+      (fs::temp_directory_path() / "mgrid_lu_server_wal_failure_test")
+          .string();
+  fs::remove_all(wal_dir);
+  fs::create_directories(wal_dir);
+  const std::string wal_path = wal_dir + "/wal.log";
+  {
+    serve::WalWriter wal(wal_path, serve::FsyncPolicy::kNever);
+    ShardUnderTest shard(&wal);
+    ShardClient client = make_client(shard);
+    std::string error;
+    ASSERT_TRUE(client.connect(&error)) << error;
+
+    ASSERT_TRUE(client.send_lus(
+        std::vector<wire::LuMsg>{walk_lu(1, 1), walk_lu(2, 1)}));
+    ASSERT_TRUE(client.tick(1.0, 1));
+    ASSERT_TRUE(client.send_lus(
+        std::vector<wire::LuMsg>{walk_lu(1, 2), walk_lu(2, 2)}));
+    {
+      // The file may not grow: the tick-2 barrier's write fails.
+      const mgrid::test::FileSizeLimit limit(fs::file_size(wal_path));
+      EXPECT_FALSE(client.tick(2.0, 2));
+    }
+    EXPECT_TRUE(wal.failed());
+    // The connection survives the failed ack, and later barriers keep
+    // failing rather than silently succeeding.
+    EXPECT_FALSE(client.tick(3.0, 3));
+    EXPECT_EQ(shard.server->stats().ticks, 3u);
+  }
   fs::remove_all(wal_dir);
 }
 

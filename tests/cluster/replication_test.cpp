@@ -261,5 +261,45 @@ TEST(Replication, StoppingTheFollowerDetachesItFromTheHub) {
   EXPECT_GE(primary.hub->stats().detached_total, 1u);
 }
 
+// stop() from the follower side while run() may be closing the connection
+// itself: mid-stream, and while the primary hangs up at the same moment.
+// Under the tsan preset this is the race check for stop() against run().
+TEST(Replication, StoppingALiveFollowerRacesNeitherStreamNorHangUp) {
+  for (int round = 0; round < 4; ++round) {
+    Primary primary((fs::temp_directory_path() /
+                     ("mgrid_repl_stop_race_test_" + std::to_string(round)))
+                        .string());
+    ShardClientOptions driver_options;
+    driver_options.port = primary.server->port();
+    ShardClient driver(driver_options);
+    ASSERT_TRUE(driver.connect());
+
+    const std::unique_ptr<serve::ShardedDirectory> follower_dir =
+        make_directory();
+    FollowerOptions follower_options;
+    follower_options.port = primary.server->port();
+    Follower follower(*follower_dir, follower_options);
+    ASSERT_TRUE(follower.connect());
+    std::thread runner([&follower] { follower.run(); });
+    ASSERT_TRUE(eventually([&primary] {
+      const ReplicationHub::Stats stats = primary.hub->stats();
+      return stats.pending + stats.subscribers >= 1;
+    }));
+
+    std::thread feeder([&driver] { drive_ticks(driver, 1, 30, 16); });
+    if (round % 2 == 0) {
+      follower.stop();  // mid-stream
+      feeder.join();
+    } else {
+      feeder.join();
+      std::thread hang_up([&primary] { primary.hub->stop(); });
+      follower.stop();
+      hang_up.join();
+    }
+    runner.join();
+    EXPECT_LE(follower.stats().last_tick, 30u);
+  }
+}
+
 }  // namespace
 }  // namespace mgrid::cluster

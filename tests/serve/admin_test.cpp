@@ -4,15 +4,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
 #include <string>
 
+#include "file_size_limit.h"
 #include "obs/http.h"
 #include "obs/metrics.h"
 #include "obs/slo.h"
 #include "obs/span.h"
 #include "serve/directory.h"
 #include "serve/ingest.h"
+#include "serve/wal.h"
 #include "serve/wire.h"
 #include "util/json.h"
 
@@ -123,6 +126,32 @@ TEST(AdminServer, ReadyzHonoursTheDriverPredicate) {
   EXPECT_NE(warming.body.find("warming up"), std::string::npos);
   driver_ready = true;
   EXPECT_EQ(admin.handle(get("/readyz")).status, 200);
+}
+
+TEST(AdminServer, ReadyzReportsAFailedWal) {
+  const std::string path = testing::TempDir() + "admin_readyz_wal_test.log";
+  std::remove(path.c_str());
+  {
+    obs::MetricsRegistry registry;
+    WalWriter wal(path, FsyncPolicy::kNever);
+    AdminHooks hooks;
+    hooks.registry = &registry;
+    hooks.wal = &wal;
+    AdminServer admin(ephemeral_options(), std::move(hooks));
+    EXPECT_EQ(admin.handle(get("/readyz")).status, 200);
+
+    {
+      // No room past the header: the barrier's write fails.
+      const test::FileSizeLimit limit(sizeof(kWalHeader));
+      ASSERT_TRUE(wal.append(lu(1, 1.0, 0.0, 0.0)));
+      ASSERT_FALSE(wal.append_tick(1.0, 1));
+    }
+    const obs::http::Response failed = admin.handle(get("/readyz"));
+    EXPECT_EQ(failed.status, 503);
+    EXPECT_NE(failed.body.find("wal failed: " + path), std::string::npos)
+        << failed.body;
+  }
+  std::remove(path.c_str());
 }
 
 TEST(AdminServer, QuitzFiresTheHookAndCounts) {

@@ -1,6 +1,9 @@
 #include "serve/recovery.h"
 
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <cmath>
 #include <cstdint>
@@ -281,6 +284,116 @@ TEST_F(RecoveryTest, RecoveredDirectoryResumesAcceptingLus) {
     EXPECT_TRUE(recovered->update(mn, 7.0, {0.0, 0.0}, {0.0, 0.0}))
         << "mn " << mn;
   }
+}
+
+// The crash-cut stream: enough MNs that one tick overflows the WAL's
+// write buffer, so part of an unfinished tick reaches the file.
+constexpr std::uint32_t kCutNodes = 2000;
+constexpr std::uint64_t kCutTicks = 3;
+constexpr std::uint32_t kCutPartial = 1999;  ///< LUs of tick kCutTicks + 1
+
+/// Child side of the crash-cut test: kCutTicks complete ticks through a
+/// pipeline with a kNever WAL, then most of the next tick, then SIGKILL —
+/// no destructors, no sync, whatever the WAL buffer holds is lost.
+[[noreturn]] void run_until_killed(const std::string& wal_dir) {
+  fs::create_directories(wal_dir);
+  const std::unique_ptr<ShardedDirectory> directory = make_directory();
+  WalWriter wal(wal_dir + "/wal.log", FsyncPolicy::kNever);
+  IngestOptions options;
+  options.sources = 3;
+  options.workers = 2;
+  options.wal = &wal;
+  IngestPipeline pipeline(*directory, options);
+  for (std::uint64_t k = 1; k <= kCutTicks + 1; ++k) {
+    for (std::uint32_t mn = 0; mn < kCutNodes; ++mn) {
+      if (k == kCutTicks + 1 && mn == kCutPartial) break;
+      if (mn == 0 && k % 2 == 1) continue;
+      if (!pipeline.submit(walk_lu(mn, k))) ::_exit(2);
+    }
+    pipeline.flush();
+    if (k == kCutTicks + 1) break;
+    if (!wal.append_tick(static_cast<double>(k), k)) ::_exit(3);
+    directory->advance_estimates(static_cast<double>(k));
+  }
+  ::kill(::getpid(), SIGKILL);
+  ::_exit(4);  // unreachable
+}
+
+TEST_F(RecoveryTest, SigkillMidTickRecoversToTheLastBarrier) {
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) run_until_killed(dir_);
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  ASSERT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL)
+      << "child ended with status " << status;
+
+  // The file ends on whole records: group commit never writes a torn one.
+  const WalReadResult wal = read_wal(dir_ + "/wal.log");
+  EXPECT_TRUE(wal.status == WalReadStatus::kEnd ||
+              wal.status == WalReadStatus::kTruncated)
+      << to_string(wal.status);
+
+  RecoverReport report;
+  const std::unique_ptr<ShardedDirectory> recovered = recover(report);
+  EXPECT_TRUE(report.has_barrier);
+  EXPECT_EQ(report.last_tick, kCutTicks);
+  EXPECT_EQ(report.ticks_replayed, kCutTicks);
+  // The buffer filled mid-tick, so part of the unfinished tick reached the
+  // file; recovery drops it.
+  EXPECT_GT(report.trailing_lus_dropped, 0u);
+
+  // Serial reference at the last barrier: no pipeline, no WAL.
+  const std::unique_ptr<ShardedDirectory> reference = make_directory();
+  for (std::uint64_t k = 1; k <= kCutTicks; ++k) {
+    for (std::uint32_t mn = 0; mn < kCutNodes; ++mn) {
+      if (mn == 0 && k % 2 == 1) continue;
+      const wire::LuMsg lu = walk_lu(mn, k);
+      ASSERT_TRUE(
+          reference->update(lu.mn, lu.t, {lu.x, lu.y}, {lu.vx, lu.vy}));
+    }
+    reference->advance_estimates(static_cast<double>(k));
+  }
+  expect_identical(*reference, *recovered);
+}
+
+TEST_F(RecoveryTest, GroupCommitWritesThePerRecordEncoding) {
+  fs::create_directories(dir_);
+  const std::string path = dir_ + "/wal.log";
+  // Reference: the header, then [crc32c][frame] per record, one at a time.
+  std::vector<std::uint8_t> expected(kWalHeader,
+                                     kWalHeader + sizeof(kWalHeader));
+  const auto encode_record = [&expected](const auto& msg) {
+    std::vector<std::uint8_t> frame;
+    wire::encode(frame, msg);
+    const std::uint32_t crc = crc32c(frame.data(), frame.size());
+    for (int shift = 0; shift < 32; shift += 8) {
+      expected.push_back(static_cast<std::uint8_t>(crc >> shift));
+    }
+    expected.insert(expected.end(), frame.begin(), frame.end());
+  };
+
+  WalWriter wal(path, FsyncPolicy::kNever);
+  for (std::uint64_t k = 1; k <= kCutTicks + 1; ++k) {
+    for (std::uint32_t mn = 0; mn < kCutNodes; ++mn) {
+      if (k == kCutTicks + 1 && mn == kCutPartial) break;
+      if (mn == 0 && k % 2 == 1) continue;
+      ASSERT_TRUE(wal.append(walk_lu(mn, k)));
+      encode_record(walk_lu(mn, k));
+    }
+    if (k == kCutTicks + 1) break;
+    ASSERT_TRUE(wal.append_tick(static_cast<double>(k), k));
+    encode_record(wire::TickMsg{static_cast<double>(k), k});
+  }
+  // sync() writes the unfinished tick's buffered records too.
+  ASSERT_TRUE(wal.sync());
+
+  std::ifstream in(path, std::ios::binary);
+  const std::vector<std::uint8_t> written{std::istreambuf_iterator<char>(in),
+                                          std::istreambuf_iterator<char>()};
+  ASSERT_EQ(written.size(), expected.size());
+  EXPECT_TRUE(written == expected);
+  EXPECT_EQ(wal.bytes_appended(), expected.size() - sizeof(kWalHeader));
 }
 
 TEST(SnapshotTest, ListSnapshotsOrdersNewestFirst) {

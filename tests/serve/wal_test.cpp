@@ -9,6 +9,7 @@
 #include <variant>
 #include <vector>
 
+#include "file_size_limit.h"
 #include "serve/wire.h"
 
 namespace mgrid::serve {
@@ -246,6 +247,57 @@ TEST_F(WalTest, EveryRecordPolicySurvivesRoundTrip) {
     ASSERT_TRUE(writer.sync());
   }
   EXPECT_EQ(read_wal(path_).records.size(), 2u);
+}
+
+TEST_F(WalTest, AppendsStayBufferedUntilTheTickBarrier) {
+  WalWriter writer(path_, FsyncPolicy::kNever);
+  ASSERT_TRUE(writer.append(lu(1, 1.0, 5.0, 5.0)));
+  ASSERT_TRUE(writer.append(lu(2, 1.0, 6.0, 6.0)));
+  EXPECT_EQ(writer.records_appended(), 2u);
+  // Group commit: nothing past the header is in the file yet...
+  EXPECT_EQ(file_bytes().size(), sizeof(kWalHeader));
+  // ...and the barrier writes the records together with the tick record.
+  ASSERT_TRUE(writer.append_tick(1.0, 1));
+  const WalReadResult result = read_wal(path_);
+  EXPECT_EQ(result.status, WalReadStatus::kEnd);
+  ASSERT_EQ(result.records.size(), 3u);
+  EXPECT_TRUE(std::holds_alternative<wire::TickMsg>(result.records[2]));
+  EXPECT_EQ(result.consistent_bytes,
+            sizeof(kWalHeader) + writer.bytes_appended());
+}
+
+TEST_F(WalTest, AFullBufferIsWrittenWithoutABarrier) {
+  WalWriter writer(path_, FsyncPolicy::kNever);
+  // Well past the writer's buffer size, with no tick record.
+  constexpr std::uint32_t kLus = 4000;
+  for (std::uint32_t mn = 0; mn < kLus; ++mn) {
+    ASSERT_TRUE(writer.append(lu(mn, 1.0, 5.0, 5.0)));
+  }
+  // The file holds a whole-record prefix of the stream, never a torn one.
+  const WalReadResult partial = read_wal(path_);
+  EXPECT_EQ(partial.status, WalReadStatus::kEnd);
+  EXPECT_GT(partial.records.size(), 0u);
+  EXPECT_LT(partial.records.size(), kLus);
+  ASSERT_TRUE(writer.sync());
+  EXPECT_EQ(read_wal(path_).records.size(), kLus);
+}
+
+TEST_F(WalTest, WriteFailureSurfacesAtTheBarrier) {
+  WalWriter writer(path_, FsyncPolicy::kNever);
+  ASSERT_TRUE(writer.append_tick(1.0, 1));
+  {
+    // The file may not grow past its current size.
+    const test::FileSizeLimit limit(file_bytes().size());
+    EXPECT_TRUE(writer.append(lu(1, 2.0, 5.0, 5.0)));  // buffered only
+    EXPECT_FALSE(writer.failed());
+    EXPECT_FALSE(writer.append_tick(2.0, 2));
+  }
+  EXPECT_TRUE(writer.failed());
+  // A failed WAL stays failed: nothing more is appended or written.
+  EXPECT_FALSE(writer.append(lu(1, 3.0, 5.0, 5.0)));
+  EXPECT_FALSE(writer.append_tick(3.0, 3));
+  EXPECT_FALSE(writer.sync());
+  EXPECT_EQ(read_wal(path_).records.size(), 1u);
 }
 
 TEST(WalCrc, MatchesKnownCrc32cVectors) {
