@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <stdexcept>
 #include <variant>
@@ -128,9 +129,12 @@ void LuServer::accept_main() {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
+      // Only stop() ends the loop. Anything else (EMFILE/ENFILE under fd
+      // exhaustion, ECONNABORTED) is transient: back off briefly so a full
+      // fd table neither kills the listener nor becomes a busy spin.
       if (stopping_.load()) return;
-      if (errno == ECONNABORTED) continue;
-      return;  // listener broken; workers still drain the queue
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      continue;
     }
     if (stopping_.load()) {
       ::close(fd);

@@ -19,6 +19,13 @@
 //             probes it was winning. This is what makes shard join/leave a
 //             bounded handoff (cluster/handoff.h) instead of a reshuffle.
 //
+// Lookup cost: each probe hashes once and lands in a bucket index over the
+// circle (2^b equal arcs, 2^b >= 8 x points, capped at 2^16) that names the
+// first point at or past the bucket's edge; the successor is then ~1 step
+// away, so owner() is `probes` hashes plus `probes` bucket probes — no
+// binary search. The index is derived from the points and rebuilt with them
+// on every membership change, so it never affects which node wins.
+//
 // Hashes are fixed for the protocol's lifetime: vnode points are
 // splitmix64(fnv1a64("<name>#<vnode>")) and probe p of key mn is
 // splitmix64(splitmix64(mn) + p * 0x9E3779B97F4A7C15) — all frozen,
@@ -40,7 +47,8 @@ struct RingOptions {
   /// linearly larger lookup table.
   std::size_t vnodes = 64;
   /// Lookup probes per key (>= 1). More probes = tighter spread, linearly
-  /// more binary searches per owner(); 1 degenerates to the classic ring.
+  /// more hashes and bucket probes per owner(); 1 degenerates to the
+  /// classic ring.
   /// 21 is the multi-probe literature's sweet spot (~1.1x peak load even
   /// without vnodes).
   std::size_t probes = 21;
@@ -56,12 +64,17 @@ class HashRing {
   /// Removes a node; false when absent. Bumps version() on success.
   bool remove_node(const std::string& name);
 
-  /// The node owning `mn`. Requires a non-empty ring (throws
-  /// std::logic_error otherwise — asking an empty ring is a driver bug).
+  /// Index into nodes() of the node owning `mn`. Requires a non-empty ring
+  /// (throws std::logic_error otherwise — asking an empty ring is a driver
+  /// bug).
+  [[nodiscard]] std::size_t owner_index(std::uint32_t mn) const;
+  /// The node owning `mn`: nodes()[owner_index(mn)].
   [[nodiscard]] const std::string& owner(std::uint32_t mn) const;
 
-  /// Node names, sorted.
-  [[nodiscard]] std::vector<std::string> nodes() const;
+  /// Node names, sorted. Valid until the next add_node/remove_node.
+  [[nodiscard]] const std::vector<std::string>& nodes() const noexcept {
+    return nodes_;
+  }
   [[nodiscard]] bool contains(const std::string& name) const;
   [[nodiscard]] std::size_t node_count() const noexcept {
     return nodes_.size();
@@ -87,6 +100,10 @@ class HashRing {
   /// (vanishingly rare) break by name so the table is deterministic
   /// regardless of insertion order.
   std::vector<std::pair<std::uint64_t, std::uint32_t>> points_;
+  /// Successor index: bucket_first_[h >> bucket_shift_] is the first point
+  /// >= that bucket's low edge. Rebuilt with points_.
+  std::vector<std::uint32_t> bucket_first_;
+  unsigned bucket_shift_ = 64;
   std::uint64_t version_ = 0;
 };
 

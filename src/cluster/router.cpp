@@ -38,6 +38,7 @@ Router::Router(RouterOptions options, std::vector<RouterShardConfig> shards)
     shards_.push_back(std::make_unique<Shard>(config, options_));
     health_[config.name].name = config.name;
   }
+  reindex_locked();
   ring_version_gauge_ = obs::current_registry().gauge(
       "mgrid_cluster_ring_version", {},
       "Monotonic version of the router's consistent-hash ring");
@@ -88,11 +89,10 @@ bool Router::submit(const wire::LuMsg& msg) {
   }
   const std::lock_guard<std::mutex> lock(mutex_);
   if (shards_.empty()) return false;
-  Shard* shard = find_locked(ring_.owner(msg.mn));
-  if (shard == nullptr) return false;
-  shard->batch.push_back(entry);
-  if (shard->batch.size() >= options_.batch_size) {
-    return send_batch_locked(*shard);
+  Shard& shard = *by_ring_index_[ring_.owner_index(msg.mn)];
+  shard.batch.push_back(entry);
+  if (shard.batch.size() >= options_.batch_size) {
+    return send_batch_locked(shard);
   }
   return true;
 }
@@ -129,8 +129,7 @@ std::optional<wire::LookupReplyMsg> Router::lookup(std::uint32_t mn,
   const std::lock_guard<std::mutex> lock(mutex_);
   if (shards_.empty()) return std::nullopt;
   lookups_.fetch_add(1, std::memory_order_relaxed);
-  Shard* shard = find_locked(ring_.owner(mn));
-  if (shard == nullptr) return std::nullopt;
+  Shard* shard = by_ring_index_[ring_.owner_index(mn)];
   // A lookup must see every LU forwarded before it, so the owner's pending
   // batch goes first.
   if (!shard->batch.empty() && !send_batch_locked(*shard)) {
@@ -204,6 +203,7 @@ bool Router::add_shard(const RouterShardConfig& config, std::string* error) {
     return false;
   }
   shards_.push_back(std::move(shard));
+  reindex_locked();
   ring_version_gauge_.set(static_cast<double>(ring_.version()));
   const std::lock_guard<std::mutex> health_lock(health_mutex_);
   health_[config.name].name = config.name;
@@ -221,6 +221,7 @@ bool Router::remove_shard(const std::string& name) {
       break;
     }
   }
+  reindex_locked();
   const std::lock_guard<std::mutex> health_lock(health_mutex_);
   health_.erase(name);
   return true;
@@ -322,11 +323,14 @@ void Router::write_cluster_status(util::JsonWriter& json) const {
   json.end_object();
 }
 
-Router::Shard* Router::find_locked(const std::string& name) {
+void Router::reindex_locked() {
+  const std::vector<std::string>& names = ring_.nodes();
+  by_ring_index_.assign(names.size(), nullptr);
   for (auto& shard : shards_) {
-    if (shard->config.name == name) return shard.get();
+    const auto it =
+        std::lower_bound(names.begin(), names.end(), shard->config.name);
+    by_ring_index_[static_cast<std::size_t>(it - names.begin())] = shard.get();
   }
-  return nullptr;
 }
 
 bool Router::send_batch_locked(Shard& shard) {

@@ -165,7 +165,8 @@ class Router {
   /// Sends one shard's batch (data mutex held). Clears the batch either
   /// way; failures count lus_dropped.
   bool send_batch_locked(Shard& shard);
-  [[nodiscard]] Shard* find_locked(const std::string& name);
+  /// Rebuilds by_ring_index_ after the ring or shards_ changed.
+  void reindex_locked();
 
   RouterOptions options_;
 
@@ -173,6 +174,9 @@ class Router {
   mutable std::mutex mutex_;
   HashRing ring_;
   std::vector<std::unique_ptr<Shard>> shards_;
+  /// shards_ by ring node index: by_ring_index_[ring_.owner_index(mn)] is
+  /// mn's shard, so routing an LU compares no names.
+  std::vector<Shard*> by_ring_index_;
 
   /// Health state (separate lock: probes must not stall submits).
   mutable std::mutex health_mutex_;

@@ -39,7 +39,7 @@
 
 namespace mgrid::serve {
 
-/// CRC-32C (Castagnoli), software table implementation. Public for tests.
+/// CRC-32C (Castagnoli), portable slicing-by-8 tables. Public for tests.
 [[nodiscard]] std::uint32_t crc32c(const std::uint8_t* data, std::size_t len);
 
 /// When the writer calls fsync(2).

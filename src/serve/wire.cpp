@@ -1,26 +1,36 @@
 #include "serve/wire.h"
 
+#include <algorithm>
 #include <bit>
+#include <cstring>
 
 namespace mgrid::serve::wire {
 
 namespace {
 
+// Appends `v` little-endian: one resize and one store (the frame layout is
+// little-endian; a big-endian host reverses the bytes).
+template <typename T>
+void put_le(std::vector<std::uint8_t>& out, T v) {
+  const std::size_t at = out.size();
+  out.resize(at + sizeof(T));
+  std::uint8_t* p = out.data() + at;
+  std::memcpy(p, &v, sizeof(T));
+  if constexpr (std::endian::native == std::endian::big) {
+    std::reverse(p, p + sizeof(T));
+  }
+}
+
 void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v & 0xFF));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
+  put_le(out, v);
 }
 
 void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out.push_back(static_cast<std::uint8_t>((v >> shift) & 0xFF));
-  }
+  put_le(out, v);
 }
 
 void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out.push_back(static_cast<std::uint8_t>((v >> shift) & 0xFF));
-  }
+  put_le(out, v);
 }
 
 void put_f64(std::vector<std::uint8_t>& out, double v) {

@@ -55,13 +55,6 @@ std::uint64_t fnv1a64(std::string_view text) noexcept {
   return hash;
 }
 
-std::uint64_t splitmix64(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 RngStream RngRegistry::stream(std::string_view name) const {
   return RngStream(splitmix64(root_seed_ ^ fnv1a64(name)));
 }

@@ -89,7 +89,14 @@ class RngRegistry {
 /// change across platforms or releases).
 [[nodiscard]] std::uint64_t fnv1a64(std::string_view text) noexcept;
 
-/// SplitMix64 step — used to whiten derived seeds.
-[[nodiscard]] std::uint64_t splitmix64(std::uint64_t x) noexcept;
+/// SplitMix64 step — used to whiten derived seeds and as the consistent-hash
+/// ring's point/probe hash (inline: the ring runs it per lookup probe). Must
+/// not change across platforms or releases.
+[[nodiscard]] inline std::uint64_t splitmix64(std::uint64_t x) noexcept {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
 
 }  // namespace mgrid::util

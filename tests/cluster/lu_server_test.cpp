@@ -1,12 +1,23 @@
 #include "cluster/lu_server.h"
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/resource.h>
+#include <sys/socket.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <cerrno>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
+#include <variant>
 #include <vector>
 
 #include "../serve/file_size_limit.h"
@@ -298,6 +309,80 @@ TEST(LuServer, StartRequiresHooksAndStopIsIdempotent) {
   shard.server->stop();
   shard.server->stop();
   EXPECT_FALSE(shard.server->running());
+}
+
+/// Connects an already-created socket to the loopback `port`.
+bool connect_loopback(int fd, std::uint16_t port) {
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  return ::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                   sizeof(addr)) == 0;
+}
+
+bool wait_for_connections(const LuServer& server, std::uint64_t count) {
+  for (int i = 0; i < 200 && server.stats().connections < count; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return server.stats().connections == count;
+}
+
+/// The fd-exhaustion scenario, run in a forked child because it lowers the
+/// process's RLIMIT_NOFILE and fills its fd table. Returns the child's exit
+/// code: 0 on success, otherwise the step that failed.
+int accept_under_fd_exhaustion() {
+  ShardUnderTest shard;
+  const std::uint16_t port = shard.server->port();
+  // Both client sockets exist before the table fills; connecting needs no
+  // new fd.
+  const int primer = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int client = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (primer < 0 || client < 0) return 10;
+  rlimit limit{};
+  if (::getrlimit(RLIMIT_NOFILE, &limit) != 0) return 11;
+  limit.rlim_cur = std::min<rlim_t>(limit.rlim_cur, 256);
+  if (::setrlimit(RLIMIT_NOFILE, &limit) != 0) return 11;
+  std::vector<int> fillers;
+  for (;;) {
+    const int fd = ::open("/dev/null", O_RDONLY);
+    if (fd < 0) break;
+    fillers.push_back(fd);
+  }
+  if (errno != EMFILE || fillers.empty()) return 12;
+  // A blocked accept() reserved its fd slot before the table filled, so
+  // the primer connection uses that slot up; every accept() after it
+  // fails with EMFILE.
+  if (!connect_loopback(primer, port)) return 13;
+  if (!wait_for_connections(*shard.server, 1)) return 14;
+  // The client connects into the listen backlog while the table is full.
+  if (!connect_loopback(client, port)) return 15;
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  if (shard.server->stats().connections != 1) return 16;
+  for (const int fd : fillers) ::close(fd);
+  // With fds free again the same listener accepts the client and serves
+  // its barrier.
+  FrameConn conn(client, 5.0);
+  std::vector<std::uint8_t> frame;
+  wire::encode(frame, wire::TickMsg{1.0, 1});
+  if (!conn.send(frame)) return 17;
+  wire::Message reply;
+  if (!conn.recv_message(reply)) return 18;
+  const auto* ack = std::get_if<wire::AckMsg>(&reply);
+  if (ack == nullptr || ack->status != wire::AckStatus::kOk) return 19;
+  ::close(primer);
+  return shard.server->stats().connections == 2 ? 0 : 20;
+}
+
+TEST(LuServer, AcceptSurvivesFdExhaustion) {
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) ::_exit(accept_under_fd_exhaustion());
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status)) << "child status " << status;
+  // 18 = the listener never recovered: no ack within the I/O timeout.
+  EXPECT_EQ(WEXITSTATUS(status), 0);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -291,6 +292,76 @@ TEST(RouterMembership, RemoveShardShrinksTheRing) {
   for (std::uint32_t mn = 0; mn < 100; ++mn) {
     EXPECT_EQ(router.owner(mn), "a");
   }
+  router.stop();
+}
+
+// The router routes by ring node index, so its shard table must be
+// re-indexed on every membership change. "a" sorts before "m" and "z", so
+// adding it shifts every index; removing "m" shifts them again. After each
+// change every LU must land on the shard Router::owner names.
+TEST(RouterMembership, LusFollowTheRingAcrossJoinAndLeave) {
+  std::map<std::string, std::unique_ptr<ShardNode>> nodes;
+  for (const char* name : {"m", "z", "a"}) {
+    nodes[name] = std::make_unique<ShardNode>();
+  }
+  const auto config = [&](const std::string& name) {
+    RouterShardConfig c;
+    c.name = name;
+    c.lu_port = nodes.at(name)->server->port();
+    return c;
+  };
+  RouterOptions options;
+  options.health_period_seconds = 0.0;
+  options.batch_size = 8;
+  Router router(options, {config("m"), config("z")});
+  std::string error;
+  ASSERT_TRUE(router.start(&error)) << error;
+
+  constexpr std::uint32_t kMns = 300;
+  const auto drive_and_check = [&](std::uint64_t k) {
+    std::map<std::string, std::uint64_t> before;
+    for (const auto& [name, node] : nodes) {
+      before[name] = node->server->stats().lus;
+    }
+    std::map<std::string, std::uint64_t> expected;
+    for (std::uint32_t mn = 0; mn < kMns; ++mn) {
+      ++expected[router.owner(mn)];
+      ASSERT_TRUE(router.submit(walk_lu(mn, k)));
+    }
+    ASSERT_TRUE(router.tick(static_cast<double>(k), k));
+    for (const auto& [name, node] : nodes) {
+      EXPECT_EQ(node->server->stats().lus - before[name], expected[name])
+          << "shard " << name << " at tick " << k;
+      // This tick's received LUs are exactly the MNs the ring gives it.
+      std::vector<std::uint32_t> fresh;
+      for (const serve::DirectoryEntry& entry : node->directory->snapshot()) {
+        if (entry.t == static_cast<double>(k) && !entry.estimated) {
+          fresh.push_back(entry.mn);
+        }
+      }
+      std::vector<std::uint32_t> owned;
+      for (std::uint32_t mn = 0; mn < kMns; ++mn) {
+        if (router.owner(mn) == name) owned.push_back(mn);
+      }
+      std::sort(fresh.begin(), fresh.end());
+      EXPECT_EQ(fresh, owned) << "shard " << name << " at tick " << k;
+    }
+  };
+
+  drive_and_check(1);
+  EXPECT_EQ(router.shard_names(), (std::vector<std::string>{"m", "z"}));
+
+  ASSERT_TRUE(router.add_shard(config("a"), &error)) << error;
+  EXPECT_EQ(router.shard_names(), (std::vector<std::string>{"a", "m", "z"}));
+  drive_and_check(2);
+
+  ASSERT_TRUE(router.remove_shard("m"));
+  EXPECT_EQ(router.shard_names(), (std::vector<std::string>{"a", "z"}));
+  drive_and_check(3);
+
+  // Every shard that is in the ring took a share at every step.
+  EXPECT_GT(nodes.at("a")->server->stats().lus, 0u);
+  EXPECT_EQ(router.stats().lus_dropped, 0u);
   router.stop();
 }
 

@@ -309,5 +309,62 @@ TEST(WalCrc, MatchesKnownCrc32cVectors) {
   EXPECT_EQ(crc32c(digits, sizeof(digits)), 0xE3069283u);
 }
 
+// The WAL file's bytes are frozen (mgrid-wal-v1): header, then
+// [crc32c][frame] records. One LU and one tick barrier, pinned as hex.
+TEST_F(WalTest, FileBytesArePinned) {
+  {
+    WalWriter writer(path_, FsyncPolicy::kNever);
+    wire::LuMsg msg = lu(0xDEADBEEF, 1234.5678901234, -17.25, 1e-300);
+    msg.battery = 0.875;
+    ASSERT_TRUE(writer.append(msg));
+    ASSERT_TRUE(writer.append_tick(1800.5, 0x0123456789ABCDEFull));
+  }
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (const std::uint8_t b : file_bytes()) {
+    hex += kDigits[b >> 4];
+    hex += kDigits[b & 0xF];
+  }
+  EXPECT_EQ(hex,
+            "4d47574c01000000"  // "MGWL", version 1, pad
+            "20b652cc"          // crc32c of the LU frame
+            "474d010138000000efbeadded2040000e60efd84454a9340"
+            "00000000004031c059f3f8c21f6ea501000000000000f03f"
+            "000000000000f0bf000000000000ec3f"
+            "ce0dca9f"          // crc32c of the tick frame
+            "474d0107100000000000000000229c40efcdab8967452301");
+}
+
+/// Bit-at-a-time CRC-32C: the definition the table-driven code must match.
+std::uint32_t crc32c_bitwise(const std::uint8_t* data, std::size_t len) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < len; ++i) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1u) ? 0x82F63B78u : 0u);
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+// Slicing-by-8 folds 8 bytes per step with a bytewise tail: every length
+// around and across the step boundary, at every alignment, must agree with
+// the bitwise definition.
+TEST(WalCrc, MatchesTheBitwiseDefinitionAtEveryLengthAndOffset) {
+  std::vector<std::uint8_t> buffer(300 + 8);
+  std::uint64_t state = 0x9E3779B97F4A7C15ull;
+  for (std::uint8_t& b : buffer) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    b = static_cast<std::uint8_t>(state >> 56);
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 300; ++len) {
+      ASSERT_EQ(crc32c(buffer.data() + offset, len),
+                crc32c_bitwise(buffer.data() + offset, len))
+          << "offset " << offset << " len " << len;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace mgrid::serve

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <variant>
 #include <vector>
 
@@ -395,6 +396,49 @@ TEST(Wire, TickRoundTripsExactly) {
   const TickMsg& got = std::get<TickMsg>(decoded.msg);
   EXPECT_EQ(got.t, 1234.5);
   EXPECT_EQ(got.tick, tick.tick);
+}
+
+std::string hex(const std::vector<std::uint8_t>& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const std::uint8_t b : bytes) {
+    out += kDigits[b >> 4];
+    out += kDigits[b & 0xF];
+  }
+  return out;
+}
+
+// The encoder's bytes are the protocol: shards, followers and WAL files
+// written by older builds must keep decoding. These frames are pinned as
+// hex, so a codec rewrite that moves one bit fails here.
+TEST(Wire, LuAndTickFramesArePinnedBytes) {
+  LuMsg lu;
+  lu.mn = 0xDEADBEEF;
+  lu.seq = 42;
+  lu.t = 1234.5678901234;
+  lu.x = -17.25;
+  lu.y = 1e-300;
+  lu.vx = std::numeric_limits<double>::denorm_min();
+  lu.vy = -0.0;
+  lu.battery = 0.875;
+  std::vector<std::uint8_t> frame;
+  encode(frame, lu);
+  EXPECT_EQ(hex(frame),
+            "474d010138000000"                  // magic, v1, kLu, 56
+            "efbeadde2a000000"                  // mn, seq
+            "e60efd84454a9340"                  // t
+            "00000000004031c0"                  // x
+            "59f3f8c21f6ea501"                  // y
+            "0100000000000000"                  // vx (denorm_min)
+            "0000000000000080"                  // vy (-0.0)
+            "000000000000ec3f");                // battery
+
+  frame.clear();
+  encode(frame, TickMsg{1800.5, 0x0123456789ABCDEFull});
+  EXPECT_EQ(hex(frame),
+            "474d010710000000"                  // magic, v1, kTick, 16
+            "0000000000229c40"                  // t
+            "efcdab8967452301");                // tick
 }
 
 }  // namespace
