@@ -6,7 +6,8 @@ over loopback TCP:
 
 1. boot three `mgrid_serve mode=shard` nodes and one `mode=follower`
    subscribed to shard-0;
-2. drive a deterministic synthetic workload through `mgrid_router`;
+2. drive a deterministic synthetic workload through `mgrid_router` with
+   `span_period=4`, so a quarter of the LUs travel as traced frames;
 3. assert the union of the shards' final states is bit-identical to the
    same workload run through a single-process `mgrid_serve mode=synthetic`,
    and the follower's final state is bit-identical to its primary's.
@@ -275,9 +276,11 @@ def main():
             response.read()
         code = router.wait(deadline=60.0)
     else:
+        # span_period=4: a quarter of the LUs travel as traced frames, so
+        # both bit-identity gates below also cover the traced LU path.
         router = Process(
             "router", [args.router, f"shards={shard_list}", *WORKLOAD,
-                       "ticks=30"],
+                       "ticks=30", "span_period=4"],
             f"{work}/router.log")
         code = router.wait()
     if code != 0:

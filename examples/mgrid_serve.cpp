@@ -638,8 +638,8 @@ int run_shard(const util::Config& config) {
   }
   cluster::ReplicationHub hub(*directory);
   // Cluster traces: spans propagated from the router (kTracedLu) record
-  // here with router_batch/net stages attached; the traced tap keeps the
-  // trace context on the replication stream so the follower joins it too.
+  // here with router_batch/net stages attached; the tap hands the hub each
+  // LU with its trace context, so the follower joins the trace too.
   obs::SpanTracerOptions span_options;
   span_options.sample_period =
       static_cast<std::uint64_t>(config.get_int("span_period", 64));
@@ -647,9 +647,6 @@ int run_shard(const util::Config& config) {
   tracer.set_enabled(true);
   knobs.ingest.spans = &tracer;
   knobs.ingest.lu_tap = [&hub](const serve::wire::LuMsg& lu) {
-    hub.on_lu(lu);
-  };
-  knobs.ingest.traced_lu_tap = [&hub](const serve::wire::TracedLuMsg& lu) {
     hub.on_lu(lu);
   };
   serve::IngestPipeline pipeline(*directory, knobs.ingest);

@@ -241,28 +241,16 @@ bool ShardClient::connect(std::string* error) {
 bool ShardClient::send_lus(const std::vector<wire::LuMsg>& batch) {
   if (batch.empty()) return true;
   scratch_.clear();
-  for (const wire::LuMsg& msg : batch) wire::encode(scratch_, msg);
-  return conn_.send(scratch_);
-}
-
-bool ShardClient::send_lus(const std::vector<BatchLu>& batch) {
-  if (batch.empty()) return true;
-  scratch_.clear();
   std::uint64_t send_us = 0;  // stamped lazily: untraced batches skip the clock
-  for (const BatchLu& entry : batch) {
-    if (entry.trace_id == 0) {
-      wire::encode(scratch_, entry.lu);
+  for (const wire::LuMsg& msg : batch) {
+    if (msg.trace.trace_id == 0) {
+      wire::encode(scratch_, msg);
       continue;
     }
     if (send_us == 0) send_us = obs::span_now_us();
-    wire::TracedLuMsg traced;
-    traced.lu = entry.lu;
-    traced.trace.trace_id = entry.trace_id;
-    traced.trace.origin_us = entry.origin_us;
-    traced.trace.send_us = send_us;
-    traced.trace.parent_stage =
-        static_cast<std::uint32_t>(obs::LuStage::kNet);
-    wire::encode(scratch_, traced);
+    wire::LuMsg stamped = msg;
+    stamped.trace.send_us = send_us;
+    wire::encode(scratch_, stamped);
   }
   return conn_.send(scratch_);
 }

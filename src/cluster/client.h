@@ -97,17 +97,6 @@ struct ShardClientOptions {
   double io_timeout_seconds = 5.0;
 };
 
-/// One entry of a router batch: the LU plus its trace context when the
-/// router's deterministic sampler selected it (trace_id == 0 = untraced,
-/// encoded as a plain v1 kLu so old shards interoperate when tracing is
-/// off). `origin_us` is when the router accepted the LU; the batch-flush
-/// timestamp is stamped by send_lus() at encode time.
-struct BatchLu {
-  wire::LuMsg lu;
-  std::uint64_t trace_id = 0;
-  std::uint64_t origin_us = 0;
-};
-
 /// The router's connection to one shard's LU server.
 class ShardClient {
  public:
@@ -122,13 +111,11 @@ class ShardClient {
   bool connect(std::string* error = nullptr);
   void close() { conn_.close(); }
 
-  /// Forwards a batch of LUs in one send. No reply expected.
+  /// Forwards a batch of LUs in one send. No reply expected. Traced
+  /// entries (trace.trace_id != 0) go out as kTracedLu frames stamped with
+  /// one shared send_us (the batch flushes as a unit, so one timestamp is
+  /// exact for every member); untraced ones as plain kLu frames.
   bool send_lus(const std::vector<wire::LuMsg>& batch);
-
-  /// Forwards a mixed traced/untraced batch in one send: traced entries go
-  /// out as kTracedLu frames stamped with one shared send_us (the batch
-  /// flushes as a unit, so one timestamp is exact for every member).
-  bool send_lus(const std::vector<BatchLu>& batch);
 
   /// Tick barrier: sends kTick and blocks for the shard's kAck ("all LUs
   /// before the tick are applied and estimates advanced to t").

@@ -12,8 +12,6 @@
 #include <stdexcept>
 #include <variant>
 
-#include "obs/span.h"
-
 namespace mgrid::cluster {
 
 LuServer::LuServer(LuServerOptions options, LuServerHooks hooks)
@@ -212,19 +210,6 @@ bool LuServer::dispatch(FrameConn& conn, wire::Message& msg,
   if (const auto* lu = std::get_if<wire::LuMsg>(&msg)) {
     lus_.fetch_add(1, std::memory_order_relaxed);
     if (!hooks_.pipeline->submit(*lu)) {
-      lus_rejected_.fetch_add(1, std::memory_order_relaxed);
-    }
-    return true;
-  }
-  if (const auto* traced = std::get_if<wire::TracedLuMsg>(&msg)) {
-    lus_.fetch_add(1, std::memory_order_relaxed);
-    serve::IngestTraceContext trace;
-    trace.trace_id = traced->trace.trace_id;
-    trace.origin_us = traced->trace.origin_us;
-    trace.send_us = traced->trace.send_us;
-    // The network stage ends here: first point the shard owns the frame.
-    trace.recv_us = obs::span_now_us();
-    if (!hooks_.pipeline->submit_traced(traced->lu, trace)) {
       lus_rejected_.fetch_add(1, std::memory_order_relaxed);
     }
     return true;

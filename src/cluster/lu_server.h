@@ -7,12 +7,12 @@
 // worker owns it until the peer disconnects, decoding frames from a
 // buffered reader and dispatching per type:
 //
-//   kLu            pipeline->submit() (no per-LU ack; queue-full rejects
-//                  are counted and visible in /statusz, matching the ADF
-//                  paper's fire-and-forget update model)
-//   kTracedLu      pipeline->submit_traced() with the propagated trace
-//                  context, stamping the receive time that closes the
-//                  network stage of the cluster span
+//   kLu /          pipeline->submit() (no per-LU ack; queue-full rejects
+//   kTracedLu      are counted and visible in /statusz, matching the ADF
+//                  paper's fire-and-forget update model). Both decode to
+//                  one LuMsg; a traced one carries its trace context into
+//                  the pipeline, whose enqueue stamp closes the network
+//                  stage of the cluster span
 //   kTick          the cluster's barrier: flush the pipeline, append the
 //                  WAL tick record, advance_estimates(t), notify the
 //                  replication hub — the exact sequence the single-process
@@ -77,7 +77,7 @@ struct LuServerHooks {
 struct LuServerStats {
   std::uint64_t connections = 0;       ///< Accepted.
   std::uint64_t rejected_busy = 0;     ///< Closed by the queue bound.
-  std::uint64_t lus = 0;               ///< kLu frames received.
+  std::uint64_t lus = 0;               ///< kLu/kTracedLu frames received.
   std::uint64_t lus_rejected = 0;      ///< submit() refused (queue full).
   std::uint64_t ticks = 0;             ///< Barriers completed.
   std::uint64_t lookups = 0;

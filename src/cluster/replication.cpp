@@ -53,14 +53,12 @@ ReplicationHub::~ReplicationHub() { stop(); }
 void ReplicationHub::on_lu(const wire::LuMsg& msg) {
   const std::lock_guard<std::mutex> lock(mutex_);
   if (stopping_ || (subscribers_.empty() && pending_fds_.empty())) return;
-  wire::encode(live_, msg);
-  ++live_lus_;
-}
-
-void ReplicationHub::on_lu(const wire::TracedLuMsg& msg) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (stopping_ || (subscribers_.empty() && pending_fds_.empty())) return;
-  wire::encode(live_, msg);
+  wire::LuMsg out = msg;
+  if (out.trace.trace_id != 0) {
+    // The primary's last stage of a traced LU is visibility.
+    out.trace.parent_stage = static_cast<std::uint32_t>(obs::LuStage::kVisible);
+  }
+  wire::encode(live_, out);
   ++live_lus_;
 }
 
@@ -374,29 +372,19 @@ bool Follower::consume() {
       continue;
     }
     if (const auto* lu = std::get_if<wire::LuMsg>(&msg)) {
+      // A traced LU closes its cluster trace here: a one-stage span under
+      // the propagated id covering the serial apply on this replica.
+      const bool traced = lu->trace.trace_id != 0 &&
+                          options_.spans != nullptr &&
+                          options_.spans->enabled();
+      const std::uint64_t apply_start_us = traced ? obs::span_now_us() : 0;
       const bool applied = directory_.update(lu->mn, lu->t, {lu->x, lu->y},
                                              {lu->vx, lu->vy});
-      const std::lock_guard<std::mutex> lock(stats_mutex_);
-      if (applied) {
-        ++stats_.lus_applied;
-      } else {
-        ++stats_.lus_rejected;
-      }
-      continue;
-    }
-    if (const auto* traced = std::get_if<wire::TracedLuMsg>(&msg)) {
-      // The final hop of the cluster trace: a one-stage span under the
-      // propagated id covering the serial apply on this replica.
-      const wire::LuMsg& lu = traced->lu;
-      const std::uint64_t apply_start_us =
-          options_.spans != nullptr ? obs::span_now_us() : 0;
-      const bool applied = directory_.update(lu.mn, lu.t, {lu.x, lu.y},
-                                             {lu.vx, lu.vy});
-      if (options_.spans != nullptr) {
+      if (traced) {
         obs::LuSpan span;
-        span.trace_id = traced->trace.trace_id;
-        span.mn = lu.mn;
-        span.seq = lu.seq;
+        span.trace_id = lu->trace.trace_id;
+        span.mn = lu->mn;
+        span.seq = lu->seq;
         span.wall_us = obs::span_now_us();
         span.stage_seconds[static_cast<std::size_t>(
             obs::LuStage::kFollowerApply)] =

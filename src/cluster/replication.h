@@ -62,14 +62,12 @@ class ReplicationHub {
   ReplicationHub(const ReplicationHub&) = delete;
   ReplicationHub& operator=(const ReplicationHub&) = delete;
 
-  /// The ingest pipeline's lu_tap target: buffers one accepted LU. Called
-  /// under a source-queue lock — must stay allocation-light and never
-  /// perform I/O.
+  /// The ingest pipeline's lu_tap target: buffers one accepted LU. A
+  /// traced LU (msg.trace.trace_id != 0) is re-streamed as a kTracedLu with
+  /// parent_stage = kVisible, so the follower end of the stream joins the
+  /// same cluster trace; an untraced one as a plain kLu. Called under a
+  /// source-queue lock — must stay allocation-light and never perform I/O.
   void on_lu(const wire::LuMsg& msg);
-
-  /// The traced_lu_tap target: buffers a sampled LU with its trace context,
-  /// so the follower end of the stream joins the same cluster trace.
-  void on_lu(const wire::TracedLuMsg& msg);
 
   /// Tick barrier (must be quiescent: pipeline flushed, no concurrent
   /// submits). Broadcasts the buffered LUs + the tick frame to attached
@@ -159,9 +157,9 @@ struct FollowerOptions {
   double connect_timeout_seconds = 5.0;
   /// Also the granularity at which run() notices stop() while idle.
   double io_timeout_seconds = 0.25;
-  /// Latency attribution: kTracedLu frames on the stream record a
-  /// follower-apply span under the propagated trace id, SLI
-  /// "follower_apply". Must outlive the follower. Optional.
+  /// Latency attribution: while the tracer is enabled, traced LUs on the
+  /// stream record a follower-apply span under the propagated trace id,
+  /// SLI "follower_apply". Must outlive the follower. Optional.
   obs::SpanTracer* spans = nullptr;
 };
 

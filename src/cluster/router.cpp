@@ -79,13 +79,13 @@ void Router::stop() {
 }
 
 bool Router::submit(const wire::LuMsg& msg) {
-  BatchLu entry;
-  entry.lu = msg;
+  wire::LuMsg entry = msg;
   if (options_.spans != nullptr &&
       options_.spans->sampled(obs::kClusterTraceSource, msg.mn, msg.seq)) {
-    entry.trace_id =
+    entry.trace.trace_id =
         obs::SpanTracer::trace_id(obs::kClusterTraceSource, msg.mn, msg.seq);
-    entry.origin_us = obs::span_now_us();
+    entry.trace.origin_us = obs::span_now_us();
+    entry.trace.parent_stage = static_cast<std::uint32_t>(obs::LuStage::kNet);
   }
   const std::lock_guard<std::mutex> lock(mutex_);
   if (shards_.empty()) return false;

@@ -155,7 +155,7 @@ class Router {
   struct Shard {
     RouterShardConfig config;
     ShardClient client;
-    std::vector<BatchLu> batch;
+    std::vector<wire::LuMsg> batch;
     /// mgrid_router_forwarded_lus_total{shard=<name>}
     obs::Counter forwarded;
     explicit Shard(const RouterShardConfig& cfg, const RouterOptions& opts);

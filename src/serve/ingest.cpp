@@ -103,28 +103,20 @@ IngestPipeline::IngestPipeline(ShardedDirectory& directory,
 IngestPipeline::~IngestPipeline() { stop(); }
 
 bool IngestPipeline::submit(const wire::LuMsg& msg) {
-  return submit_internal(msg, nullptr);
-}
-
-bool IngestPipeline::submit_traced(const wire::LuMsg& msg,
-                                   const IngestTraceContext& trace) {
-  return submit_internal(msg, trace.trace_id != 0 ? &trace : nullptr);
-}
-
-bool IngestPipeline::submit_internal(const wire::LuMsg& msg,
-                                     const IngestTraceContext* trace) {
   if (!accepting_.load(std::memory_order_acquire)) return false;
   const bool telemetry = obs::enabled();
   const std::size_t source = msg.mn % queues_.size();
   // Producer-side sampling decision: a pure function of the LU's identity,
   // so the sampled set cannot depend on worker count or timing. An LU with
-  // a propagated context was sampled upstream and stays sampled here, so
-  // one cluster-wide decision selects every hop of the trace.
+  // a propagated context was sampled upstream and stays sampled here while
+  // the tracer is on, so one cluster-wide decision selects every hop of the
+  // trace.
   const bool span_sampled =
       options_.spans != nullptr &&
-      (trace != nullptr ||
-       options_.spans->sampled(static_cast<std::uint32_t>(source), msg.mn,
-                               msg.seq));
+      (msg.trace.trace_id != 0
+           ? options_.spans->enabled()
+           : options_.spans->sampled(static_cast<std::uint32_t>(source),
+                                     msg.mn, msg.seq));
   SourceQueue& queue = *queues_[source];
   bool was_empty = false;
   std::size_t depth = 0;
@@ -164,7 +156,6 @@ bool IngestPipeline::submit_internal(const wire::LuMsg& msg,
     QueuedLu item;
     item.msg = msg;
     item.sampled = span_sampled;
-    if (trace != nullptr) item.trace = *trace;
     if (telemetry || span_sampled) {
       item.enqueued = std::chrono::steady_clock::now();
     }
@@ -191,21 +182,8 @@ bool IngestPipeline::submit_internal(const wire::LuMsg& msg,
     }
     // Replication tap under the same lock: the tapped stream's per-MN order
     // is the queue's (== the WAL's), which is what makes follower replay
-    // deterministic. Tap time lands in the span's queue stage. A traced LU
-    // prefers the trace-propagating tap so the follower joins the trace;
-    // either way every accepted LU reaches exactly one tap.
-    if (trace != nullptr && options_.traced_lu_tap) {
-      wire::TracedLuMsg traced;
-      traced.lu = msg;
-      traced.trace.trace_id = trace->trace_id;
-      traced.trace.origin_us = trace->origin_us;
-      traced.trace.send_us = trace->send_us;
-      traced.trace.parent_stage =
-          static_cast<std::uint32_t>(obs::LuStage::kVisible);
-      options_.traced_lu_tap(traced);
-    } else if (options_.lu_tap) {
-      options_.lu_tap(msg);
-    }
+    // deterministic. Tap time lands in the span's queue stage.
+    if (options_.lu_tap) options_.lu_tap(msg);
     depth = queue.lus.size();
   }
   accepted_.fetch_add(1, std::memory_order_relaxed);
@@ -285,7 +263,7 @@ void IngestPipeline::worker_main(std::size_t worker_id) {
     std::uint32_t seq = 0;
     std::uint64_t wal_ns = 0;
     std::chrono::steady_clock::time_point enqueued{};
-    IngestTraceContext trace{};
+    wire::TraceContext trace{};
   };
   std::vector<ShardedDirectory::LuApply> batch;
   std::vector<std::chrono::steady_clock::time_point> enqueue_times;
@@ -320,7 +298,7 @@ void IngestPipeline::worker_main(std::size_t worker_id) {
           enqueue_times.push_back(item.enqueued);
           if (item.sampled) {
             pending_spans.push_back({item.msg.mn, item.msg.seq, item.wal_ns,
-                                     item.enqueued, item.trace});
+                                     item.enqueued, item.msg.trace});
           }
         }
         queue.lus.erase(queue.lus.begin(),
@@ -408,9 +386,15 @@ void IngestPipeline::worker_main(std::size_t worker_id) {
               obs::LuStage::kVisible)] =
               std::chrono::duration<double>(visible - apply_end).count();
           // Upstream stages from the propagated timestamps (monotonic us,
-          // cross-process comparable on one machine). Untraced LUs leave
-          // them 0, so the local four stages still tile the span exactly.
-          const IngestTraceContext& upstream = pending_span.trace;
+          // cross-process comparable on one machine); the network stage
+          // ends at the enqueue stamp, the same steady clock. Untraced LUs
+          // leave them 0, so the local four stages still tile the span
+          // exactly.
+          const wire::TraceContext& upstream = pending_span.trace;
+          const auto enqueued_us = static_cast<std::uint64_t>(
+              std::chrono::duration_cast<std::chrono::microseconds>(
+                  pending_span.enqueued.time_since_epoch())
+                  .count());
           if (upstream.send_us > upstream.origin_us &&
               upstream.origin_us != 0) {
             span.stage_seconds[static_cast<std::size_t>(
@@ -418,10 +402,9 @@ void IngestPipeline::worker_main(std::size_t worker_id) {
                 static_cast<double>(upstream.send_us - upstream.origin_us) *
                 1e-6;
           }
-          if (upstream.recv_us > upstream.send_us && upstream.send_us != 0) {
+          if (enqueued_us > upstream.send_us && upstream.send_us != 0) {
             span.stage_seconds[static_cast<std::size_t>(obs::LuStage::kNet)] =
-                static_cast<double>(upstream.recv_us - upstream.send_us) *
-                1e-6;
+                static_cast<double>(enqueued_us - upstream.send_us) * 1e-6;
           }
           for (const double stage : span.stage_seconds) {
             span.total_seconds += stage;

@@ -25,10 +25,11 @@
 // visible-to-lookup — recorded into an obs::SpanTracer under the
 // "update_latency" SLI. Sampling is a hash of (source, mn, seq), so any
 // worker count selects the byte-identical span set. The stage values tile
-// the span: their sum equals its total exactly. LUs submitted through
-// submit_traced() arrived with a cluster trace context: they keep the
-// upstream trace id and additionally carry the router-batch and network
-// stages computed from the propagated timestamps.
+// the span: their sum equals its total exactly. An LU whose trace context
+// is set (msg.trace.trace_id != 0) arrived from a traced cluster hop: while
+// the tracer is enabled it is force-sampled under the upstream trace id and
+// additionally carries the router-batch and network stages computed from
+// the propagated timestamps.
 #pragma once
 
 #include <atomic>
@@ -96,26 +97,12 @@ struct IngestOptions {
   /// lock, right after the WAL append — the tap sees the exact per-MN
   /// record order the WAL and the workers see, so a follower replaying the
   /// tapped stream serially reaches the same directory state (see
-  /// cluster/replication.h). Must be fast (buffer, don't block on I/O) and
-  /// must not call back into the pipeline. Empty = disabled.
+  /// cluster/replication.h). The tap receives the LU as submitted, trace
+  /// context included, so a replication hub can keep a traced LU traced
+  /// and the follower joins the same trace. Must be fast (buffer, don't
+  /// block on I/O) and must not call back into the pipeline. Empty =
+  /// disabled.
   std::function<void(const wire::LuMsg&)> lu_tap;
-  /// Trace-propagating replication tap: called INSTEAD of lu_tap for LUs
-  /// submitted with an upstream trace context, carrying the trace id so
-  /// the replication hub can re-stream a kTracedLu and a follower joins
-  /// the same trace. When unset, traced LUs fall back to lu_tap (the
-  /// follower still gets every record, just without the context). Same
-  /// ordering and reentrancy contract as lu_tap.
-  std::function<void(const wire::TracedLuMsg&)> traced_lu_tap;
-};
-
-/// Upstream trace context for an LU that arrived as a wire::TracedLuMsg.
-/// Timestamps are CLOCK_MONOTONIC microseconds (cross-process comparable on
-/// one machine); 0 = "not stamped", and the corresponding stage stays 0.
-struct IngestTraceContext {
-  std::uint64_t trace_id = 0;  ///< 0 = no propagated context.
-  std::uint64_t origin_us = 0;  ///< router accepted the LU
-  std::uint64_t send_us = 0;    ///< router flushed the batch
-  std::uint64_t recv_us = 0;    ///< shard decoded the frame
 };
 
 struct IngestStats {
@@ -139,15 +126,12 @@ class IngestPipeline {
   IngestPipeline& operator=(const IngestPipeline&) = delete;
 
   /// Enqueues one LU. Returns false (and counts rejected_full) when the
-  /// source queue is at capacity. Thread-safe.
+  /// source queue is at capacity. Thread-safe. An LU carrying a trace
+  /// context (msg.trace.trace_id != 0) is force-sampled under that id when
+  /// options.spans is set and enabled; its span then includes the
+  /// router-batch and network stages computed from the context's
+  /// timestamps, the network stage ending at the enqueue stamp.
   bool submit(const wire::LuMsg& msg);
-
-  /// Enqueues one LU that carries an upstream trace context: the LU is
-  /// force-sampled under the propagated trace id (options.spans permitting)
-  /// and its span includes the router-batch and network stages computed
-  /// from the context's timestamps. Same admission behavior as submit().
-  bool submit_traced(const wire::LuMsg& msg,
-                     const IngestTraceContext& trace);
 
   /// Releases workers parked by start_paused (no-op otherwise).
   void resume();
@@ -173,9 +157,9 @@ class IngestPipeline {
   [[nodiscard]] std::vector<std::size_t> queue_depths() const;
 
  private:
-  /// One queued LU; `enqueued` is stamped only while telemetry is enabled
-  /// or the LU is span-sampled (epoch time_point otherwise) so the disabled
-  /// path never reads a clock.
+  /// One queued LU (its trace context rides in msg.trace); `enqueued` is
+  /// stamped only while telemetry is enabled or the LU is span-sampled
+  /// (epoch time_point otherwise) so the disabled path never reads a clock.
   struct QueuedLu {
     wire::LuMsg msg;
     std::chrono::steady_clock::time_point enqueued{};
@@ -184,8 +168,6 @@ class IngestPipeline {
     /// Selected by the span tracer's deterministic sampler, or forced by a
     /// propagated trace context.
     bool sampled = false;
-    /// Upstream context (trace_id == 0 when the LU arrived untraced).
-    IngestTraceContext trace{};
   };
 
   struct SourceQueue {
@@ -199,8 +181,6 @@ class IngestPipeline {
 
   struct Telemetry;  // registry handles, resolved once at construction
 
-  bool submit_internal(const wire::LuMsg& msg,
-                       const IngestTraceContext* trace);
   void worker_main(std::size_t worker_id);
   /// True when any queue owned by `worker_id` holds LUs.
   [[nodiscard]] bool own_work(std::size_t worker_id);

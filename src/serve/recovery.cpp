@@ -91,8 +91,9 @@ std::unique_ptr<ShardedDirectory> recover_directory(
       report.last_tick_t = tick->t;
       report.last_tick = tick->tick;
     }
-    // Other frame types cannot appear in a WAL (the writer only emits kLu
-    // and kTick); if one does, it is ignored rather than fatal.
+    // The writer emits only kLu and kTick. A kTracedLu record decodes to an
+    // LuMsg too and replays as its LU; any other frame type is ignored
+    // rather than fatal.
   }
   report.trailing_lus_dropped = wal.records.size() - cut;
 

@@ -229,8 +229,12 @@ bool WalWriter::sync_locked() {
 }
 
 bool WalWriter::append(const wire::LuMsg& msg) {
+  // The log holds v1 kLu records only: a traced LU is logged without its
+  // trace context, so WAL bytes never depend on tracing.
+  wire::LuMsg plain = msg;
+  plain.trace = {};
   std::lock_guard<std::mutex> lock(mutex_);
-  return append_locked(msg);
+  return append_locked(plain);
 }
 
 bool WalWriter::append_tick(double t, std::uint64_t tick) {

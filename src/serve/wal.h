@@ -69,9 +69,10 @@ class WalWriter {
   WalWriter(const WalWriter&) = delete;
   WalWriter& operator=(const WalWriter&) = delete;
 
-  /// Buffers one LU record; the buffer goes to the file once it is full
-  /// (every record under kEveryRecord). Returns false once the WAL has
-  /// failed (then every later call fails too).
+  /// Buffers one LU record — always a v1 kLu frame; msg.trace is dropped —
+  /// and the buffer goes to the file once it is full (every record under
+  /// kEveryRecord). Returns false once the WAL has failed (then every later
+  /// call fails too).
   bool append(const wire::LuMsg& msg);
   /// Appends one tick-barrier record and writes the buffer, so the barrier
   /// and everything before it are in the file on return; then fsyncs under

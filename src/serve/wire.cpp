@@ -181,19 +181,17 @@ std::size_t payload_size(MsgType type) noexcept {
 }
 
 std::size_t encode(std::vector<std::uint8_t>& out, const LuMsg& msg) {
-  const std::size_t start = begin_frame(out, MsgType::kLu);
+  const bool traced = msg.trace.trace_id != 0;
+  const std::size_t start =
+      begin_frame(out, traced ? MsgType::kTracedLu : MsgType::kLu);
   put_lu_payload(out, msg);
-  return out.size() - start;
-}
-
-std::size_t encode(std::vector<std::uint8_t>& out, const TracedLuMsg& msg) {
-  const std::size_t start = begin_frame(out, MsgType::kTracedLu);
-  put_lu_payload(out, msg.lu);
-  put_u64(out, msg.trace.trace_id);
-  put_u64(out, msg.trace.origin_us);
-  put_u64(out, msg.trace.send_us);
-  put_u32(out, msg.trace.parent_stage);
-  put_u32(out, 0);
+  if (traced) {
+    put_u64(out, msg.trace.trace_id);
+    put_u64(out, msg.trace.origin_us);
+    put_u64(out, msg.trace.send_us);
+    put_u32(out, msg.trace.parent_stage);
+    put_u32(out, 0);
+  }
   return out.size() - start;
 }
 
@@ -361,17 +359,15 @@ Decoded decode_frame(std::span<const std::uint8_t> buffer) {
   }
   const std::size_t p = kHeaderBytes;
   switch (type) {
-    case MsgType::kLu: {
-      result.msg = get_lu_payload(buffer, p);
-      break;
-    }
+    case MsgType::kLu:
     case MsgType::kTracedLu: {
-      TracedLuMsg msg;
-      msg.lu = get_lu_payload(buffer, p);
-      msg.trace.trace_id = get_u64(buffer, p + 56);
-      msg.trace.origin_us = get_u64(buffer, p + 64);
-      msg.trace.send_us = get_u64(buffer, p + 72);
-      msg.trace.parent_stage = get_u32(buffer, p + 80);
+      LuMsg msg = get_lu_payload(buffer, p);
+      if (type == MsgType::kTracedLu) {
+        msg.trace.trace_id = get_u64(buffer, p + 56);
+        msg.trace.origin_us = get_u64(buffer, p + 64);
+        msg.trace.send_us = get_u64(buffer, p + 72);
+        msg.trace.parent_stage = get_u32(buffer, p + 80);
+      }
       result.msg = msg;
       break;
     }

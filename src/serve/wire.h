@@ -42,15 +42,18 @@
 // whose header carries version 2; every other frame stays version 1, so a
 // v1 peer keeps decoding plain traffic unchanged and rejects a traced frame
 // cleanly as kBadVersion at the header (it never misparses the payload).
-// A v2 decoder accepts both versions; senders emit kTracedLu only for the
-// sampled slice of LUs, so mixed-version clusters interoperate as long as
-// tracing stays off toward old peers:
+// A v2 decoder accepts both versions. In memory there is one LU message:
+// LuMsg carries an optional TraceContext, and encode() picks the frame by
+// its trace id — kLu when trace.trace_id == 0, kTracedLu otherwise. Only
+// the deterministically sampled slice of LUs is traced, so mixed-version
+// clusters interoperate as long as tracing stays off toward old peers:
 //
 //   kTracedLu (13), 88 bytes:   the kLu payload (56 bytes, same layout),
 //                               then trace_id u64, origin_us u64,
 //                               send_us u64, parent_stage u32, pad u32
 //
-// decode_frame() never throws on hostile bytes: it returns a typed status
+// decode_frame() turns both frame types into LuMsg (a kLu frame leaves the
+// trace zeroed). It never throws on hostile bytes: it returns a typed status
 // (bad magic / version / type / length, or "need more data" for a prefix of
 // a valid frame) so a network reader can resynchronise or disconnect.
 #pragma once
@@ -113,8 +116,25 @@ enum class AckStatus : std::uint8_t {
   kOverload = 2,  ///< Ingestion queue full; sender should back off.
 };
 
+/// Trace context propagated alongside a sampled LU. Timestamps are
+/// CLOCK_MONOTONIC microseconds (obs::SpanTracer-compatible): comparable
+/// across processes on one machine, which is where stage attribution is
+/// meaningful; 0 = "not stamped by the sender".
+struct TraceContext {
+  std::uint64_t trace_id = 0;
+  /// When the originating router accepted the LU (before batching).
+  std::uint64_t origin_us = 0;
+  /// When the batch containing the LU was flushed to the socket.
+  std::uint64_t send_us = 0;
+  /// static_cast<u32>(obs::LuStage): the sender's last completed stage
+  /// (kNet from a router, kVisible from a primary's replication stream).
+  std::uint32_t parent_stage = 0;
+};
+
 /// A location update on the wire. `seq` is a per-source sequence number the
-/// receiver echoes in acks (0 when unused).
+/// receiver echoes in acks (0 when unused). `trace` is the optional trace
+/// context: trace_id == 0 means untraced (a v1 kLu frame), anything else
+/// travels as a v2 kTracedLu frame.
 struct LuMsg {
   std::uint32_t mn = 0;
   std::uint32_t seq = 0;
@@ -124,6 +144,7 @@ struct LuMsg {
   double vx = 0.0;
   double vy = 0.0;
   double battery = 1.0;
+  TraceContext trace{};
 };
 
 struct AckMsg {
@@ -201,27 +222,6 @@ struct SnapshotDoneMsg {
   std::uint64_t wal_records = 0;
 };
 
-/// Trace context propagated alongside a sampled LU. Timestamps are
-/// CLOCK_MONOTONIC microseconds (obs::SpanTracer-compatible): comparable
-/// across processes on one machine, which is where stage attribution is
-/// meaningful; 0 = "not stamped by the sender".
-struct TraceContext {
-  std::uint64_t trace_id = 0;
-  /// When the originating router accepted the LU (before batching).
-  std::uint64_t origin_us = 0;
-  /// When the batch containing the LU was flushed to the socket.
-  std::uint64_t send_us = 0;
-  /// static_cast<u32>(obs::LuStage): the sender's last completed stage
-  /// (kNet from a router, kVisible from a primary's replication stream).
-  std::uint32_t parent_stage = 0;
-};
-
-/// A location update carrying its trace context (version-2 frame).
-struct TracedLuMsg {
-  LuMsg lu;
-  TraceContext trace;
-};
-
 /// Ceiling on a kSnapshotChunk payload; larger declared lengths are
 /// kBadLength so a hostile header cannot make a reader buffer gigabytes.
 inline constexpr std::size_t kMaxChunkBytes = 1 << 20;
@@ -230,7 +230,7 @@ using Message =
     std::variant<std::monostate, LuMsg, AckMsg, LookupMsg, LookupReplyMsg,
                  RegionQueryMsg, NearestQueryMsg, TickMsg, NeighborMsg,
                  QueryDoneMsg, SubscribeMsg, SnapshotChunkMsg,
-                 SnapshotDoneMsg, TracedLuMsg>;
+                 SnapshotDoneMsg>;
 
 enum class DecodeStatus : std::uint8_t {
   kOk = 0,
@@ -269,6 +269,8 @@ inline constexpr std::size_t kVariablePayload =
 [[nodiscard]] std::size_t payload_size(MsgType type) noexcept;
 
 /// Appends one encoded frame to `out`. Returns the frame size in bytes.
+/// An LuMsg becomes a kLu frame when msg.trace.trace_id == 0 and a
+/// kTracedLu frame otherwise.
 std::size_t encode(std::vector<std::uint8_t>& out, const LuMsg& msg);
 std::size_t encode(std::vector<std::uint8_t>& out, const AckMsg& msg);
 std::size_t encode(std::vector<std::uint8_t>& out, const LookupMsg& msg);
@@ -282,7 +284,6 @@ std::size_t encode(std::vector<std::uint8_t>& out, const SubscribeMsg& msg);
 /// Fails (returns 0, appends nothing) when msg.bytes > kMaxChunkBytes.
 std::size_t encode(std::vector<std::uint8_t>& out, const SnapshotChunkMsg& msg);
 std::size_t encode(std::vector<std::uint8_t>& out, const SnapshotDoneMsg& msg);
-std::size_t encode(std::vector<std::uint8_t>& out, const TracedLuMsg& msg);
 
 /// Decodes the frame at the start of `buffer`. Never throws; malformed
 /// bytes yield a non-kOk status with consumed == 0 so the caller decides

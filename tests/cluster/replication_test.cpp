@@ -7,13 +7,16 @@
 #include <cstdint>
 #include <filesystem>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "cluster/client.h"
 #include "cluster/lu_server.h"
+#include "cluster/router.h"
 #include "estimation/estimator.h"
+#include "obs/span.h"
 #include "serve/directory.h"
 #include "serve/ingest.h"
 #include "serve/wal.h"
@@ -64,7 +67,8 @@ void expect_identical(const serve::ShardedDirectory& a,
 }
 
 /// A primary shard: directory + WAL + pipeline whose lu_tap feeds the hub +
-/// LU server that hands kSubscribe sockets to it.
+/// LU server that hands kSubscribe sockets to it. `spans`, when set, is the
+/// pipeline's span tracer.
 struct Primary {
   std::string wal_dir;
   std::unique_ptr<serve::ShardedDirectory> directory = make_directory();
@@ -73,7 +77,8 @@ struct Primary {
   std::unique_ptr<serve::IngestPipeline> pipeline;
   std::unique_ptr<LuServer> server;
 
-  explicit Primary(const std::string& dir) : wal_dir(dir) {
+  explicit Primary(const std::string& dir, obs::SpanTracer* spans = nullptr)
+      : wal_dir(dir) {
     fs::remove_all(wal_dir);
     fs::create_directories(wal_dir);
     hub = std::make_unique<ReplicationHub>(*directory);
@@ -83,6 +88,7 @@ struct Primary {
     ingest.sources = 3;
     ingest.workers = 2;
     ingest.wal = wal.get();
+    ingest.spans = spans;
     ingest.lu_tap = [this](const wire::LuMsg& msg) { hub->on_lu(msg); };
     pipeline = std::make_unique<serve::IngestPipeline>(*directory, ingest);
     LuServerHooks hooks;
@@ -299,6 +305,140 @@ TEST(Replication, StoppingALiveFollowerRacesNeitherStreamNorHangUp) {
     runner.join();
     EXPECT_LE(follower.stats().last_tick, 30u);
   }
+}
+
+/// What the shard and follower tracers saw of one traced cluster run.
+struct TracedRun {
+  /// Trace ids the router's sampler selects: SpanTracer::trace_id(
+  /// kClusterTraceSource, mn, seq) % 4 == 0 over every submitted LU.
+  std::set<std::uint64_t> sampled;
+  obs::SpanSnapshot shard;
+  obs::SpanSnapshot follower;
+};
+
+/// Router (cluster sample period 4) -> one primary -> one follower
+/// subscribed before any traffic. The shard and follower tracers run with
+/// sample_period 0, so whatever they record was propagated from the router;
+/// `hops_enabled` switches both of them on or off.
+TracedRun run_traced_cluster(const std::string& dir, bool hops_enabled) {
+  TracedRun run;
+  obs::SpanTracerOptions hop_options;
+  hop_options.sample_period = 0;
+  hop_options.emit_trace_events = false;
+  obs::SpanTracer shard_tracer(hop_options);
+  obs::SpanTracer follower_tracer(hop_options);
+  shard_tracer.set_enabled(hops_enabled);
+  follower_tracer.set_enabled(hops_enabled);
+
+  Primary primary(dir, &shard_tracer);
+  const std::unique_ptr<serve::ShardedDirectory> follower_dir =
+      make_directory();
+  FollowerOptions follower_options;
+  follower_options.port = primary.server->port();
+  follower_options.spans = &follower_tracer;
+  Follower follower(*follower_dir, follower_options);
+  std::string error;
+  if (!follower.connect(&error)) {
+    ADD_FAILURE() << "follower connect: " << error;
+    return run;
+  }
+  std::thread runner([&follower] { follower.run(); });
+  EXPECT_TRUE(eventually([&primary] {
+    const ReplicationHub::Stats stats = primary.hub->stats();
+    return stats.pending + stats.subscribers >= 1;
+  }));
+
+  obs::SpanTracerOptions router_span_options;
+  router_span_options.sample_period = 4;
+  router_span_options.emit_trace_events = false;
+  obs::SpanTracer router_tracer(router_span_options);
+  router_tracer.set_enabled(true);
+  RouterOptions router_options;
+  router_options.health_period_seconds = 0.0;
+  router_options.spans = &router_tracer;
+  RouterShardConfig shard;
+  shard.name = "shard-0";
+  shard.lu_port = primary.server->port();
+  Router router(router_options, {shard});
+  EXPECT_TRUE(router.start(&error)) << error;
+
+  // An empty first barrier bootstraps the follower, so every LU after it
+  // reaches the follower as a stream frame rather than inside the snapshot.
+  EXPECT_TRUE(router.tick(0.0, 0));
+  constexpr std::uint32_t kNodes = 24;
+  constexpr std::uint64_t kTicks = 12;
+  for (std::uint64_t k = 1; k <= kTicks; ++k) {
+    for (std::uint32_t mn = 0; mn < kNodes; ++mn) {
+      const wire::LuMsg lu = walk_lu(mn, k);
+      const std::uint64_t id =
+          obs::SpanTracer::trace_id(obs::kClusterTraceSource, lu.mn, lu.seq);
+      if (id % 4 == 0) run.sampled.insert(id);
+      EXPECT_TRUE(router.submit(lu));
+    }
+    EXPECT_TRUE(router.tick(static_cast<double>(k), k));
+  }
+  EXPECT_TRUE(primary.hub->drain());
+  EXPECT_TRUE(eventually(
+      [&follower] { return follower.stats().last_tick == kTicks; }))
+      << "follower stalled: " << follower.last_error();
+  follower.stop();
+  runner.join();
+  router.stop();
+
+  expect_identical(*primary.directory, *follower_dir);
+  run.shard = shard_tracer.snapshot();
+  run.follower = follower_tracer.snapshot();
+  return run;
+}
+
+std::set<std::uint64_t> trace_ids(const obs::SpanSnapshot& snapshot) {
+  std::set<std::uint64_t> ids;
+  for (const obs::LuSpan& span : snapshot.recent) ids.insert(span.trace_id);
+  return ids;
+}
+
+/// Spans recorded under `sli` (0 when the SLI is unknown).
+std::uint64_t recorded(const obs::SpanSnapshot& snapshot,
+                       const std::string& sli) {
+  for (const obs::SliSpans& entry : snapshot.slis) {
+    if (entry.name == sli) return entry.recorded;
+  }
+  return 0;
+}
+
+TEST(Replication, SampledLuKeepsOneTraceIdFromRouterToFollower) {
+  const TracedRun run = run_traced_cluster(
+      (fs::temp_directory_path() / "mgrid_repl_trace_test").string(),
+      /*hops_enabled=*/true);
+  ASSERT_FALSE(run.sampled.empty());
+
+  // The shard records exactly the router's sampled set under
+  // update_latency, each span tiled by its stages.
+  EXPECT_EQ(trace_ids(run.shard), run.sampled);
+  EXPECT_EQ(recorded(run.shard, "update_latency"), run.sampled.size());
+  for (const obs::LuSpan& span : run.shard.recent) {
+    double sum = 0.0;
+    for (const double stage : span.stage_seconds) sum += stage;
+    EXPECT_EQ(sum, span.total_seconds) << "trace " << span.trace_id;
+  }
+
+  // The follower closes the same traces under follower_apply.
+  EXPECT_EQ(trace_ids(run.follower), run.sampled);
+  EXPECT_EQ(recorded(run.follower, "follower_apply"), run.sampled.size());
+}
+
+// A disabled tracer on a hop must not record propagated spans: the traced
+// frames still flow (and apply identically), but neither the shard's
+// pipeline nor the follower reads a clock or fills its ring for them.
+TEST(Replication, DisabledHopTracersRecordNoPropagatedSpans) {
+  const TracedRun run = run_traced_cluster(
+      (fs::temp_directory_path() / "mgrid_repl_trace_off_test").string(),
+      /*hops_enabled=*/false);
+  ASSERT_FALSE(run.sampled.empty());
+  EXPECT_EQ(run.shard.sampled, 0u);
+  EXPECT_TRUE(run.shard.recent.empty());
+  EXPECT_EQ(run.follower.sampled, 0u);
+  EXPECT_TRUE(run.follower.recent.empty());
 }
 
 }  // namespace

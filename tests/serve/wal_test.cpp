@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <variant>
 #include <vector>
@@ -312,27 +313,67 @@ TEST(WalCrc, MatchesKnownCrc32cVectors) {
 // The WAL file's bytes are frozen (mgrid-wal-v1): header, then
 // [crc32c][frame] records. One LU and one tick barrier, pinned as hex.
 TEST_F(WalTest, FileBytesArePinned) {
-  {
-    WalWriter writer(path_, FsyncPolicy::kNever);
-    wire::LuMsg msg = lu(0xDEADBEEF, 1234.5678901234, -17.25, 1e-300);
-    msg.battery = 0.875;
-    ASSERT_TRUE(writer.append(msg));
-    ASSERT_TRUE(writer.append_tick(1800.5, 0x0123456789ABCDEFull));
+  static constexpr char kPinned[] =
+      "4d47574c01000000"  // "MGWL", version 1, pad
+      "20b652cc"          // crc32c of the LU frame
+      "474d010138000000efbeadded2040000e60efd84454a9340"
+      "00000000004031c059f3f8c21f6ea501000000000000f03f"
+      "000000000000f0bf000000000000ec3f"
+      "ce0dca9f"          // crc32c of the tick frame
+      "474d0107100000000000000000229c40efcdab8967452301";
+  // A traced LU is logged as the same v1 kLu record: WAL bytes never depend
+  // on tracing.
+  for (const bool traced : {false, true}) {
+    fs::remove(path_);
+    {
+      WalWriter writer(path_, FsyncPolicy::kNever);
+      wire::LuMsg msg = lu(0xDEADBEEF, 1234.5678901234, -17.25, 1e-300);
+      msg.battery = 0.875;
+      if (traced) {
+        msg.trace.trace_id = 0xFEEDFACE01234567ull;
+        msg.trace.origin_us = 1000;
+        msg.trace.send_us = 2000;
+        msg.trace.parent_stage = 1;
+      }
+      ASSERT_TRUE(writer.append(msg));
+      ASSERT_TRUE(writer.append_tick(1800.5, 0x0123456789ABCDEFull));
+    }
+    static constexpr char kDigits[] = "0123456789abcdef";
+    std::string hex;
+    for (const std::uint8_t b : file_bytes()) {
+      hex += kDigits[b >> 4];
+      hex += kDigits[b & 0xF];
+    }
+    EXPECT_EQ(hex, kPinned) << (traced ? "traced" : "untraced");
   }
-  static constexpr char kDigits[] = "0123456789abcdef";
-  std::string hex;
-  for (const std::uint8_t b : file_bytes()) {
-    hex += kDigits[b >> 4];
-    hex += kDigits[b & 0xF];
+}
+
+// WalWriter never writes a kTracedLu record, but the reader replays one as
+// its LU: the frame decodes to an LuMsg like any kLu.
+TEST_F(WalTest, ReaderReplaysATracedLuRecordAsItsLu) {
+  wire::LuMsg msg = lu(9, 3.0, 1.5, -2.5);
+  msg.trace.trace_id = 77;
+  std::vector<std::uint8_t> frame;
+  wire::encode(frame, msg);
+  ASSERT_EQ(frame[3], static_cast<std::uint8_t>(wire::MsgType::kTracedLu));
+  std::vector<std::uint8_t> bytes(std::begin(kWalHeader), std::end(kWalHeader));
+  const std::uint32_t crc = crc32c(frame.data(), frame.size());
+  for (int shift = 0; shift < 32; shift += 8) {
+    bytes.push_back(static_cast<std::uint8_t>(crc >> shift));
   }
-  EXPECT_EQ(hex,
-            "4d47574c01000000"  // "MGWL", version 1, pad
-            "20b652cc"          // crc32c of the LU frame
-            "474d010138000000efbeadded2040000e60efd84454a9340"
-            "00000000004031c059f3f8c21f6ea501000000000000f03f"
-            "000000000000f0bf000000000000ec3f"
-            "ce0dca9f"          // crc32c of the tick frame
-            "474d0107100000000000000000229c40efcdab8967452301");
+  bytes.insert(bytes.end(), frame.begin(), frame.end());
+  write_bytes(bytes);
+
+  const WalReadResult result = read_wal(path_);
+  EXPECT_EQ(result.status, WalReadStatus::kEnd);
+  ASSERT_EQ(result.records.size(), 1u);
+  const auto* got = std::get_if<wire::LuMsg>(&result.records[0]);
+  ASSERT_NE(got, nullptr);
+  EXPECT_EQ(got->mn, 9u);
+  EXPECT_EQ(got->t, 3.0);
+  EXPECT_EQ(got->x, 1.5);
+  EXPECT_EQ(got->y, -2.5);
+  EXPECT_EQ(got->trace.trace_id, 77u);
 }
 
 /// Bit-at-a-time CRC-32C: the definition the table-driven code must match.

@@ -265,15 +265,15 @@ TEST(Wire, SnapshotChunkCarriesVariablePayload) {
 }
 
 TEST(Wire, TracedLuRoundTripsExactly) {
-  TracedLuMsg traced;
-  traced.lu.mn = 0xCAFEBABE;
-  traced.lu.seq = 77;
-  traced.lu.t = 99.125;
-  traced.lu.x = -1.5;
-  traced.lu.y = 2.25;
-  traced.lu.vx = 0.0625;
-  traced.lu.vy = -0.0;
-  traced.lu.battery = 0.5;
+  LuMsg traced;
+  traced.mn = 0xCAFEBABE;
+  traced.seq = 77;
+  traced.t = 99.125;
+  traced.x = -1.5;
+  traced.y = 2.25;
+  traced.vx = 0.0625;
+  traced.vy = -0.0;
+  traced.battery = 0.5;
   traced.trace.trace_id = 0xFEEDFACE01234567ull;
   traced.trace.origin_us = 0xFFFF0000AAAA5555ull;
   traced.trace.send_us = traced.trace.origin_us + 1234;
@@ -289,15 +289,15 @@ TEST(Wire, TracedLuRoundTripsExactly) {
   const Decoded decoded = decode_frame(buffer);
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded.consumed, frame_size);
-  const TracedLuMsg& got = std::get<TracedLuMsg>(decoded.msg);
-  EXPECT_EQ(got.lu.mn, traced.lu.mn);
-  EXPECT_EQ(got.lu.seq, traced.lu.seq);
-  EXPECT_EQ(got.lu.t, traced.lu.t);
-  EXPECT_EQ(got.lu.x, traced.lu.x);
-  EXPECT_EQ(got.lu.y, traced.lu.y);
-  EXPECT_EQ(got.lu.vx, traced.lu.vx);
-  EXPECT_TRUE(std::signbit(got.lu.vy));
-  EXPECT_EQ(got.lu.battery, traced.lu.battery);
+  const LuMsg& got = std::get<LuMsg>(decoded.msg);
+  EXPECT_EQ(got.mn, traced.mn);
+  EXPECT_EQ(got.seq, traced.seq);
+  EXPECT_EQ(got.t, traced.t);
+  EXPECT_EQ(got.x, traced.x);
+  EXPECT_EQ(got.y, traced.y);
+  EXPECT_EQ(got.vx, traced.vx);
+  EXPECT_TRUE(std::signbit(got.vy));
+  EXPECT_EQ(got.battery, traced.battery);
   EXPECT_EQ(got.trace.trace_id, traced.trace.trace_id);
   EXPECT_EQ(got.trace.origin_us, traced.trace.origin_us);
   EXPECT_EQ(got.trace.send_us, traced.trace.send_us);
@@ -305,7 +305,7 @@ TEST(Wire, TracedLuRoundTripsExactly) {
 
   // The first 56 payload bytes are the plain kLu layout: a traced frame
   // whose header is rewritten to (version 1, kLu, 56) decodes to the same
-  // LU — the trace context is a strict suffix extension.
+  // LU with no trace — the trace context is a strict suffix extension.
   std::vector<std::uint8_t> as_v1(buffer.begin(),
                                   buffer.begin() + kHeaderBytes + 56);
   as_v1[2] = kVersion;
@@ -314,8 +314,23 @@ TEST(Wire, TracedLuRoundTripsExactly) {
   as_v1[5] = as_v1[6] = as_v1[7] = 0;
   const Decoded plain = decode_frame(as_v1);
   ASSERT_TRUE(plain.ok());
-  EXPECT_EQ(std::get<LuMsg>(plain.msg).mn, traced.lu.mn);
-  EXPECT_EQ(std::get<LuMsg>(plain.msg).t, traced.lu.t);
+  EXPECT_EQ(std::get<LuMsg>(plain.msg).mn, traced.mn);
+  EXPECT_EQ(std::get<LuMsg>(plain.msg).t, traced.t);
+  EXPECT_EQ(std::get<LuMsg>(plain.msg).trace.trace_id, 0u);
+
+  // The same message with its trace cleared encodes to exactly that frame.
+  LuMsg untraced = traced;
+  untraced.trace = {};
+  std::vector<std::uint8_t> v1_frame;
+  encode(v1_frame, untraced);
+  EXPECT_EQ(v1_frame, as_v1);
+}
+
+/// An LuMsg whose trace id is set, so encode() emits a kTracedLu frame.
+LuMsg traced_lu() {
+  LuMsg msg;
+  msg.trace.trace_id = 1;
+  return msg;
 }
 
 TEST(Wire, TracedLuVersionSkewRejectsBothDirections) {
@@ -323,7 +338,7 @@ TEST(Wire, TracedLuVersionSkewRejectsBothDirections) {
   // header without misparsing the payload. Our decoder enforces the exact
   // type<->version pairing, so flipping either field alone is kBadVersion.
   std::vector<std::uint8_t> traced;
-  encode(traced, TracedLuMsg{});
+  encode(traced, traced_lu());
 
   std::vector<std::uint8_t> bad = traced;
   bad[2] = kVersion;  // traced type with a v1 header
@@ -350,9 +365,7 @@ TEST(Wire, TracedLuVersionSkewRejectsBothDirections) {
 
 TEST(Wire, TracedLuPartialFramesAskForMoreData) {
   std::vector<std::uint8_t> buffer;
-  TracedLuMsg traced;
-  traced.trace.trace_id = 1;
-  encode(buffer, traced);
+  encode(buffer, traced_lu());
   for (std::size_t n = 0; n < buffer.size(); ++n) {
     const Decoded decoded =
         decode_frame(std::span<const std::uint8_t>(buffer.data(), n));
@@ -366,7 +379,7 @@ TEST(Wire, TracedLuHostileHeaderFuzz) {
   // values: decode must always return a typed status and never crash or
   // over-consume.
   std::vector<std::uint8_t> good;
-  encode(good, TracedLuMsg{});
+  encode(good, traced_lu());
   for (std::size_t index = 0; index < kHeaderBytes; ++index) {
     for (int value = 0; value < 256; ++value) {
       std::vector<std::uint8_t> bad = good;
@@ -432,6 +445,29 @@ TEST(Wire, LuAndTickFramesArePinnedBytes) {
             "0100000000000000"                  // vx (denorm_min)
             "0000000000000080"                  // vy (-0.0)
             "000000000000ec3f");                // battery
+
+  // The same LU with a trace context: a version-2 kTracedLu frame, the kLu
+  // payload followed by the 32-byte trace suffix.
+  LuMsg traced = lu;
+  traced.trace.trace_id = 0xFEEDFACE01234567ull;
+  traced.trace.origin_us = 0x0011223344556677ull;
+  traced.trace.send_us = 0x8899AABBCCDDEEFFull;
+  traced.trace.parent_stage = 5;
+  frame.clear();
+  encode(frame, traced);
+  EXPECT_EQ(hex(frame),
+            "474d020d58000000"                  // magic, v2, kTracedLu, 88
+            "efbeadde2a000000"                  // mn, seq
+            "e60efd84454a9340"                  // t
+            "00000000004031c0"                  // x
+            "59f3f8c21f6ea501"                  // y
+            "0100000000000000"                  // vx (denorm_min)
+            "0000000000000080"                  // vy (-0.0)
+            "000000000000ec3f"                  // battery
+            "67452301cefaedfe"                  // trace_id
+            "7766554433221100"                  // origin_us
+            "ffeeddccbbaa9988"                  // send_us
+            "0500000000000000");                // parent_stage, pad
 
   frame.clear();
   encode(frame, TickMsg{1800.5, 0x0123456789ABCDEFull});
