@@ -1,5 +1,6 @@
 #include "broker/location_core.h"
 
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -23,6 +24,11 @@ void MnTrack::push_history(const LocationFix& fix) {
 }
 
 bool MnTrack::apply_update(SimTime t, geo::Vec2 position, geo::Vec2 velocity) {
+  if (!std::isfinite(t) || !std::isfinite(position.x) ||
+      !std::isfinite(position.y) || !std::isfinite(velocity.x) ||
+      !std::isfinite(velocity.y)) {
+    return false;
+  }
   if (has_report_ && t < record_.last_reported.t) return false;
   const LocationFix fix{t, position, velocity, /*estimated=*/false};
   record_.last_reported = fix;

@@ -51,9 +51,10 @@ class MnTrack {
 
   /// Applies a received LU: stores the fix as last-reported AND current
   /// view, appends to history and feeds the estimator. Returns false (and
-  /// does nothing) when `t` precedes the last received fix — the federation
-  /// channel is in-order per MN, so this only triggers for hostile or
-  /// replayed-out-of-order serving traffic.
+  /// does nothing) when `t`, the position or the velocity is not finite, or
+  /// when `t` precedes the last received fix — the federation channel is
+  /// in-order per MN and carries finite fixes, so this only triggers for
+  /// hostile or replayed-out-of-order serving traffic.
   bool apply_update(SimTime t, geo::Vec2 position, geo::Vec2 velocity);
 
   /// Stores an estimated position as the current view (the last reported

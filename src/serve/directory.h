@@ -10,6 +10,17 @@
 // locks exactly the shards it touches, so updates and lookups for MNs on
 // different shards never contend.
 //
+// advance_estimates() sweeps the shards concurrently: the calling thread
+// and up to min(shards, hardware threads) - 1 parked helper threads claim
+// shards from one shared index, and each shard is swept by exactly one
+// thread under its own mutex in its serial iteration order. A shard's
+// state is a pure function of its own LU substream, so the result is
+// bit-identical to the serial sweep at any helper count.
+//
+// Spatial queries are total over their inputs: a non-finite centre or
+// radius returns no hits, and cell coordinates saturate at the int32 range
+// instead of overflowing.
+//
 // Per-op latency histograms and op counters are recorded through the
 // calling thread's obs::MetricsRegistry (see obs/metrics.h) when telemetry
 // is enabled.
@@ -67,8 +78,13 @@ class ShardedDirectory {
       std::unique_ptr<estimation::LocationEstimator> estimator_prototype =
           nullptr);
 
+  ~ShardedDirectory();
+  ShardedDirectory(const ShardedDirectory&) = delete;
+  ShardedDirectory& operator=(const ShardedDirectory&) = delete;
+
   /// Applies one LU. Returns false when the update is rejected (timestamp
-  /// regression for the MN — see broker::MnTrack::apply_update).
+  /// regression for the MN or a non-finite field — see
+  /// broker::MnTrack::apply_update).
   bool update(std::uint32_t mn, SimTime t, geo::Vec2 position,
               geo::Vec2 velocity);
 
@@ -96,7 +112,10 @@ class ShardedDirectory {
 
   /// Refreshes every stale track's view with its estimator forecast at `t`
   /// (mirrors broker::LocationDb::advance_estimates) and moves the tracks
-  /// in the region index. Returns the number of estimates recorded.
+  /// in the region index. Returns the number of estimates recorded. Shards
+  /// are swept concurrently (see the file comment); whole sweeps from
+  /// different callers are serialized. An exception from any shard is
+  /// rethrown here after every claimed shard has finished.
   std::size_t advance_estimates(SimTime t);
 
   /// All MNs whose current-view position lies within `radius` of `center`,
@@ -178,26 +197,42 @@ class ShardedDirectory {
     std::unordered_map<std::int64_t, std::vector<std::uint32_t>> cells;
     /// Current cell of each indexed MN.
     std::unordered_map<std::uint32_t, std::int64_t> cell_of;
-    /// Monotonically grown bounds of every position ever indexed; used only
-    /// to stop k-nearest ring expansion, so over-approximation is safe.
+    /// Monotonically grown bounds, in cell coordinates, of every cell ever
+    /// indexed; used only to bound k-nearest ring expansion, so
+    /// over-approximation is safe.
     bool has_bounds = false;
-    double min_x = 0.0, min_y = 0.0, max_x = 0.0, max_y = 0.0;
+    std::int64_t lo_cx = 0, lo_cy = 0, hi_cx = 0, hi_cy = 0;
   };
+  /// The parked helper threads of advance_estimates (directory.cpp).
+  struct Sweep;
 
   [[nodiscard]] Shard& shard_for(std::uint32_t mn) const noexcept {
     return *shards_[mn % shards_.size()];
   }
-  [[nodiscard]] std::int64_t cell_key(geo::Vec2 position) const noexcept;
+  /// Cell coordinate of `v` metres, saturated to the int32 range (NaN maps
+  /// to the low edge), so no double -> integer conversion is out of range.
+  [[nodiscard]] std::int64_t cell_coord(double v) const noexcept;
   /// Moves `mn` to the cell of `position` (caller holds the shard lock).
   void index_position(Shard& shard, std::uint32_t mn, geo::Vec2 position);
+  /// Advances every stale track of one shard (takes the shard lock).
+  std::size_t advance_shard(Shard& shard, SimTime t);
+  /// The k nearest hits within one shard (caller holds the shard lock).
+  void nearest_in_shard(const Shard& shard, geo::Vec2 center, std::size_t k,
+                        std::vector<Neighbor>& out) const;
   /// Collects in-radius hits from one cell (caller holds the shard lock).
+  /// A NaN distance is never a hit.
   void scan_cell(const Shard& shard, std::int64_t key, geo::Vec2 center,
-                 double radius_sq, std::vector<Neighbor>& out) const;
+                 double radius, std::vector<Neighbor>& out) const;
+  /// Applies one LU to its shard (caller holds the shard lock).
+  bool apply_locked(Shard& shard, const LuApply& lu);
 
   DirectoryOptions options_;
   std::unique_ptr<estimation::LocationEstimator> prototype_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<bool> degraded_{false};
+  /// Helper threads for advance_estimates; null when sweeps run serially
+  /// (one shard, or a host with one hardware thread).
+  std::unique_ptr<Sweep> sweep_;
 };
 
 }  // namespace mgrid::serve
