@@ -21,8 +21,8 @@
 //   mode=follower connects to primary=host:port, bootstraps from the
 //   primary's snapshot and replays its LU substream until the primary
 //   closes (clean exit) or a signal arrives, then writes final_out. The
-//   estimator/shards/history knobs must match the primary's, or the
-//   snapshot restore fails.
+//   estimator/shards knobs must match the primary's, or the snapshot
+//   restore fails.
 //
 // Keys (defaults in brackets; flag spellings like --final-out accepted):
 //   eventlog [path: mgrid-eventlog-v1 JSONL; switches on replay mode]
@@ -30,7 +30,7 @@
 //   final_out [path: deterministic JSON snapshot of the final directory
 //             state — byte-identical for any workers=/sources= value]
 //   shards [8] workers [2] sources [8] batch [256]
-//   cell [50] history [8]
+//   cell [50]
 //   mode [replay when eventlog= is set, else synthetic]
 //   nodes [500] ticks [120] estimator [""] alpha [0]  (synthetic mode;
 //             ticks=0 runs until /quitz or SIGINT/SIGTERM)
@@ -49,7 +49,9 @@
 // Durability (synthetic mode):
 //   wal_dir  [directory for the write-ahead log + snapshots; enables both]
 //   fsync    [never|every_tick|every_record; default every_tick]
-//   snapshot_every [ticks between directory snapshots; 0 = WAL only]
+//   snapshot_every [ticks between mgrid-snap-v2 directory snapshots; 0 =
+//             WAL only. Recovery refuses an older-version snapshot and
+//             falls back to the next-older one or a full WAL replay.]
 //   recover  [1: rebuild state from wal_dir (newest valid snapshot + WAL
 //             tail to the last complete tick), fast-forward the synthetic
 //             workload to the recovered tick and continue. /readyz serves
@@ -118,8 +120,6 @@ Knobs read_knobs(const util::Config& config) {
   Knobs knobs;
   knobs.directory.shards =
       static_cast<std::size_t>(config.get_int("shards", 8));
-  knobs.directory.history_limit =
-      static_cast<std::size_t>(config.get_int("history", 8));
   knobs.directory.cell_size = config.get_double("cell", 50.0);
   knobs.ingest.sources = static_cast<std::size_t>(config.get_int("sources", 8));
   knobs.ingest.workers = static_cast<std::size_t>(config.get_int("workers", 2));

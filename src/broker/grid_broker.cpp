@@ -36,10 +36,8 @@ BrokerMetrics& broker_metrics() {
 }  // namespace
 
 GridBroker::GridBroker(
-    std::unique_ptr<estimation::LocationEstimator> estimator_prototype,
-    std::size_t history_limit)
-    : prototype_(std::move(estimator_prototype)),
-      db_(history_limit, prototype_.get()) {}
+    std::unique_ptr<estimation::LocationEstimator> estimator_prototype)
+    : prototype_(std::move(estimator_prototype)), db_(prototype_.get()) {}
 
 void GridBroker::on_location_update(MnId mn, SimTime t, geo::Vec2 position,
                                     geo::Vec2 velocity,

@@ -27,8 +27,7 @@ class GridBroker {
   /// location estimation entirely.
   explicit GridBroker(
       std::unique_ptr<estimation::LocationEstimator> estimator_prototype =
-          nullptr,
-      std::size_t history_limit = 128);
+          nullptr);
 
   /// Ingests a received (non-filtered) LU. `battery_fraction` is the
   /// remaining battery the device piggybacked (1.0 when unreported).

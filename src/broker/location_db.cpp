@@ -1,106 +1,41 @@
 #include "broker/location_db.h"
 
-#include <algorithm>
 #include <limits>
 #include <stdexcept>
 
-#include "obs/eventlog.h"
-
 namespace mgrid::broker {
-
-const std::deque<LocationFix> LocationDb::kEmptyHistory{};
-
-LocationDb::LocationDb(
-    std::size_t history_limit,
-    const estimation::LocationEstimator* estimator_prototype)
-    : history_limit_(history_limit),
-      estimator_prototype_(estimator_prototype) {
-  if (history_limit == 0) {
-    throw std::invalid_argument("LocationDb: history_limit must be >= 1");
-  }
-}
-
-MnTrack& LocationDb::track_for(MnId mn) {
-  auto it = tracks_.find(mn);
-  if (it == tracks_.end()) {
-    it = tracks_
-             .emplace(mn, MnTrack(static_cast<std::uint32_t>(mn.value()),
-                                  history_limit_,
-                                  estimator_prototype_ != nullptr
-                                      ? estimator_prototype_->clone()
-                                      : nullptr))
-             .first;
-  }
-  return it->second;
-}
 
 bool LocationDb::record_update(MnId mn, SimTime t, geo::Vec2 position,
                                geo::Vec2 velocity) {
   if (!mn.valid()) {
     throw std::invalid_argument("LocationDb::record_update: invalid MnId");
   }
-  return track_for(mn).apply_update(t, position, velocity);
-}
-
-void LocationDb::record_estimate(MnId mn, SimTime t, geo::Vec2 position) {
-  auto it = tracks_.find(mn);
-  if (it == tracks_.end()) {
-    throw std::logic_error(
-        "LocationDb::record_estimate: MN was never reported");
-  }
-  it->second.apply_estimate(t, position);
-}
-
-std::size_t LocationDb::advance_estimates(SimTime t) {
-  std::size_t made = 0;
-  const bool eventlog = obs::eventlog_enabled();
-  for (auto& [mn, track] : tracks_) {
-    if (!track.has_estimator() || !track.has_report() ||
-        track.last_reported_time() >= t) {
-      continue;  // reported at (or after) t; the view is already fresh
-    }
-    // Point the eventlog cursor at this MN's tick record so the estimator
-    // chain (horizon clamp, map matcher) can annotate what it did.
-    if (eventlog) obs::evt::set_cursor(track.mn(), t);
-    if (track.advance(t)) ++made;
-  }
-  if (eventlog) obs::evt::clear_cursor();
-  return made;
-}
-
-bool LocationDb::knows(MnId mn) const noexcept {
-  return tracks_.find(mn) != tracks_.end();
+  return store_.apply_update(mn.value(), t, position, velocity);
 }
 
 std::optional<LocationRecord> LocationDb::lookup(MnId mn) const {
-  auto it = tracks_.find(mn);
-  if (it == tracks_.end()) return std::nullopt;
-  return it->second.record();
+  const MnTrack* track = store_.find(mn.value());
+  if (track == nullptr) return std::nullopt;
+  return track->record();
 }
 
 std::optional<geo::Vec2> LocationDb::belief_at(MnId mn, SimTime t) const {
-  auto it = tracks_.find(mn);
-  if (it == tracks_.end()) return std::nullopt;
-  return it->second.belief_at(t);
+  const MnTrack* track = store_.find(mn.value());
+  if (track == nullptr) return std::nullopt;
+  return track->belief_at(t);
 }
 
 Duration LocationDb::staleness(MnId mn, SimTime now) const {
-  auto it = tracks_.find(mn);
-  if (it == tracks_.end()) return std::numeric_limits<double>::infinity();
-  return now - it->second.record().last_reported.t;
+  const MnTrack* track = store_.find(mn.value());
+  if (track == nullptr) return std::numeric_limits<double>::infinity();
+  return now - track->last_reported_time();
 }
 
 std::vector<MnId> LocationDb::known_nodes() const {
   std::vector<MnId> out;
-  out.reserve(tracks_.size());
-  for (const auto& [mn, track] : tracks_) out.push_back(mn);
-  std::sort(out.begin(), out.end());
+  out.reserve(store_.size());
+  for (const MnTrack* track : store_.sorted()) out.push_back(MnId{track->mn()});
   return out;
-}
-
-const std::deque<LocationFix>& LocationDb::history(MnId mn) const {
-  auto it = tracks_.find(mn);
-  return it == tracks_.end() ? kEmptyHistory : it->second.history();
 }
 
 }  // namespace mgrid::broker

@@ -1,15 +1,13 @@
 // Location database (paper Fig. 3: the grid broker's location DB).
 //
-// A map of MnTrack (see broker/location_core.h) keyed by MnId: per MN the
-// last *reported* fix, the broker's *current view* (reported or estimated),
-// a bounded history of fixes and — when an estimator prototype is attached —
-// the per-MN location estimator clone. The single-MN apply/estimate logic
-// lives in MnTrack so the online serving layer shares it verbatim.
+// A broker::TrackStore (see broker/location_core.h) behind the MnId API:
+// per MN the last *reported* fix, the broker's *current view* (reported or
+// estimated) and — when an estimator prototype is attached — the per-MN
+// location estimator clone. The online serving layer's directory shards
+// are the same store.
 #pragma once
 
-#include <deque>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "broker/location_core.h"
@@ -20,30 +18,36 @@ namespace mgrid::broker {
 
 class LocationDb {
  public:
-  /// `history_limit`: fixes retained per MN (>= 1). `estimator_prototype`
-  /// (not owned; may be nullptr, must outlive the DB) is cloned per MN on
-  /// its first update so advance_estimates()/belief_at() can forecast.
+  /// `estimator_prototype` (not owned; may be nullptr, must outlive the DB)
+  /// is cloned per MN on its first update so advance_estimates() /
+  /// belief_at() can forecast.
   explicit LocationDb(
-      std::size_t history_limit = 128,
-      const estimation::LocationEstimator* estimator_prototype = nullptr);
+      const estimation::LocationEstimator* estimator_prototype = nullptr)
+      : store_(estimator_prototype) {}
+  /// The leading argument is ignored: it was the per-MN fix-history limit,
+  /// and perfledger/bench_ledger.cpp still constructs
+  /// `LocationDb(128, prototype)`.
+  LocationDb(std::size_t /*unused*/,
+             const estimation::LocationEstimator* estimator_prototype)
+      : LocationDb(estimator_prototype) {}
 
   /// Stores a received LU and makes it the current view. Returns false
-  /// (and changes nothing) when `t` precedes the MN's last received fix —
-  /// impossible on the in-order federation channel, but the shared core
-  /// rejects it for the serving layer's sake.
+  /// (and changes nothing) when the LU is rejected (non-finite field, or
+  /// `t` precedes the MN's last received fix — impossible on the in-order
+  /// federation channel, but the shared core rejects it for the serving
+  /// layer's sake); a rejected first LU leaves the MN unknown. Throws
+  /// std::invalid_argument on an invalid MnId.
   bool record_update(MnId mn, SimTime t, geo::Vec2 position,
                      geo::Vec2 velocity);
-  /// Stores an estimated position as the current view (the last reported
-  /// fix is untouched). Unknown MNs are rejected — the broker cannot
-  /// estimate a node it has never heard from.
-  void record_estimate(MnId mn, SimTime t, geo::Vec2 position);
 
-  /// Refreshes the view of every known MN whose last received fix is older
+  /// Refreshes the view of every known MN whose current view is older
   /// than `t` by recording its estimator forecast (no-op per MN when
   /// estimation is disabled). Returns the number of estimates recorded.
-  std::size_t advance_estimates(SimTime t);
+  std::size_t advance_estimates(SimTime t) { return store_.advance(t); }
 
-  [[nodiscard]] bool knows(MnId mn) const noexcept;
+  [[nodiscard]] bool knows(MnId mn) const noexcept {
+    return store_.find(mn.value()) != nullptr;
+  }
   /// Record for an MN; nullopt when never reported.
   [[nodiscard]] std::optional<LocationRecord> lookup(MnId mn) const;
   /// Best belief about the MN's position *at time t* (the received fix when
@@ -56,19 +60,10 @@ class LocationDb {
 
   /// All known MNs, sorted by id (deterministic iteration for callers).
   [[nodiscard]] std::vector<MnId> known_nodes() const;
-  [[nodiscard]] std::size_t size() const noexcept { return tracks_.size(); }
-
-  /// Bounded fix history (oldest first), received and estimated fixes
-  /// interleaved.
-  [[nodiscard]] const std::deque<LocationFix>& history(MnId mn) const;
+  [[nodiscard]] std::size_t size() const noexcept { return store_.size(); }
 
  private:
-  MnTrack& track_for(MnId mn);
-
-  std::size_t history_limit_;
-  const estimation::LocationEstimator* estimator_prototype_;
-  std::unordered_map<MnId, MnTrack> tracks_;
-  static const std::deque<LocationFix> kEmptyHistory;
+  TrackStore store_;
 };
 
 }  // namespace mgrid::broker

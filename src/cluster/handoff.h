@@ -7,7 +7,7 @@
 // recovery uses (serve/recovery.h), so a handoff is just a *filtered*
 // recovery:
 //
-//   1. take (or fetch) the old owner's mgrid-snap-v1 image, restore only
+//   1. take (or fetch) the old owner's mgrid-snap-v2 image, restore only
 //      the moved tracks (transfer_tracks);
 //   2. replay the old owner's WAL records after the snapshot's cut,
 //      filtered to the moved MNs (replay_wal_tail) — per-MN LU order is

@@ -3,7 +3,7 @@
 // A follower connects to its primary's LU port and sends kSubscribe. At the
 // primary's next tick barrier — a quiescent point: the pipeline is flushed
 // and the router holds further LUs until the tick is acked — the hub
-// encodes an mgrid-snap-v1 snapshot of the directory and queues it to the
+// encodes an mgrid-snap-v2 snapshot of the directory and queues it to the
 // subscriber (kSnapshotChunk* + kSnapshotDone), then streams every
 // subsequent accepted LU and tick barrier in order. Attaching at the
 // barrier is what makes the bootstrap exact: the snapshot covers precisely

@@ -231,16 +231,12 @@ ShardedDirectory::ShardedDirectory(
   if (options_.shards == 0) {
     throw std::invalid_argument("ShardedDirectory: shards must be >= 1");
   }
-  if (options_.history_limit == 0) {
-    throw std::invalid_argument(
-        "ShardedDirectory: history_limit must be >= 1");
-  }
   if (!(options_.cell_size > 0.0)) {
     throw std::invalid_argument("ShardedDirectory: cell_size must be > 0");
   }
   shards_.reserve(options_.shards);
   for (std::size_t i = 0; i < options_.shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
+    shards_.push_back(std::make_unique<Shard>(prototype_.get()));
   }
   const std::size_t cores =
       std::max(1u, std::thread::hardware_concurrency());
@@ -286,19 +282,7 @@ void ShardedDirectory::index_position(Shard& shard, std::uint32_t mn,
 }
 
 bool ShardedDirectory::apply_locked(Shard& shard, const LuApply& lu) {
-  auto it = shard.tracks.find(lu.mn);
-  if (it == shard.tracks.end()) {
-    it = shard.tracks
-             .emplace(lu.mn,
-                      broker::MnTrack(lu.mn, options_.history_limit,
-                                      prototype_ != nullptr
-                                          ? prototype_->clone()
-                                          : nullptr))
-             .first;
-  }
-  if (!it->second.apply_update(lu.t, lu.position, lu.velocity)) {
-    // A rejected first LU leaves no reportless track behind.
-    if (!it->second.has_report()) shard.tracks.erase(it);
+  if (!shard.store.apply_update(lu.mn, lu.t, lu.position, lu.velocity)) {
     return false;
   }
   index_position(shard, lu.mn, lu.position);
@@ -354,9 +338,8 @@ std::optional<DirectoryEntry> ShardedDirectory::lookup(
   {
     Shard& shard = shard_for(mn);
     const std::lock_guard<std::mutex> lock(shard.mutex);
-    auto it = shard.tracks.find(mn);
-    if (it != shard.tracks.end()) {
-      const broker::LocationFix& view = it->second.record().current_view;
+    if (const broker::MnTrack* track = shard.store.find(mn)) {
+      const broker::LocationFix& view = track->record().current_view;
       entry = DirectoryEntry{mn, view.t, view.position, view.estimated};
     }
   }
@@ -372,22 +355,16 @@ std::optional<geo::Vec2> ShardedDirectory::belief_at(std::uint32_t mn,
                                                      SimTime t) const {
   Shard& shard = shard_for(mn);
   const std::lock_guard<std::mutex> lock(shard.mutex);
-  auto it = shard.tracks.find(mn);
-  if (it == shard.tracks.end()) return std::nullopt;
-  return it->second.belief_at(t);
+  const broker::MnTrack* track = shard.store.find(mn);
+  if (track == nullptr) return std::nullopt;
+  return track->belief_at(t);
 }
 
 std::size_t ShardedDirectory::advance_shard(Shard& shard, SimTime t) {
-  std::size_t made = 0;
   const std::lock_guard<std::mutex> lock(shard.mutex);
-  for (auto& [mn, track] : shard.tracks) {
-    const std::optional<geo::Vec2> estimate = track.advance(t);
-    if (estimate) {
-      index_position(shard, mn, *estimate);
-      ++made;
-    }
-  }
-  return made;
+  return shard.store.advance(t, [&](std::uint32_t mn, geo::Vec2 estimate) {
+    index_position(shard, mn, estimate);
+  });
 }
 
 std::size_t ShardedDirectory::advance_estimates(SimTime t) {
@@ -413,8 +390,10 @@ void ShardedDirectory::scan_cell(const Shard& shard, std::int64_t key,
   if (cell == shard.cells.end()) return;
   const double radius_sq = radius * radius;
   for (std::uint32_t mn : cell->second) {
+    // The index holds only tracked MNs: a track is never erased once
+    // indexed.
     const geo::Vec2 position =
-        shard.tracks.at(mn).record().current_view.position;
+        shard.store.find(mn)->record().current_view.position;
     const geo::Vec2 d = position - center;
     const double dist_sq = d.x * d.x + d.y * d.y;
     if (std::isinf(dist_sq)) {
@@ -558,10 +537,10 @@ std::vector<DirectoryEntry> ShardedDirectory::snapshot() const {
   std::vector<DirectoryEntry> out;
   for (const std::unique_ptr<Shard>& shard : shards_) {
     const std::lock_guard<std::mutex> lock(shard->mutex);
-    for (const auto& [mn, track] : shard->tracks) {
+    shard->store.for_each([&out](const broker::MnTrack& track) {
       const broker::LocationFix& view = track.record().current_view;
-      out.push_back({mn, view.t, view.position, view.estimated});
-    }
+      out.push_back({track.mn(), view.t, view.position, view.estimated});
+    });
   }
   std::sort(out.begin(), out.end(),
             [](const DirectoryEntry& a, const DirectoryEntry& b) {
@@ -574,7 +553,7 @@ std::size_t ShardedDirectory::size() const {
   std::size_t total = 0;
   for (const std::unique_ptr<Shard>& shard : shards_) {
     const std::lock_guard<std::mutex> lock(shard->mutex);
-    total += shard->tracks.size();
+    total += shard->store.size();
   }
   return total;
 }
@@ -584,7 +563,7 @@ std::vector<std::size_t> ShardedDirectory::shard_sizes() const {
   sizes.reserve(shards_.size());
   for (const std::unique_ptr<Shard>& shard : shards_) {
     const std::lock_guard<std::mutex> lock(shard->mutex);
-    sizes.push_back(shard->tracks.size());
+    sizes.push_back(shard->store.size());
   }
   return sizes;
 }
@@ -606,9 +585,8 @@ std::optional<ShardedDirectory::BoundedBelief> ShardedDirectory::lookup_bounded(
   {
     Shard& shard = shard_for(mn);
     const std::lock_guard<std::mutex> lock(shard.mutex);
-    auto it = shard.tracks.find(mn);
-    if (it != shard.tracks.end()) {
-      const broker::LocationFix& view = it->second.record().current_view;
+    if (const broker::MnTrack* track = shard.store.find(mn)) {
+      const broker::LocationFix& view = track->record().current_view;
       BoundedBelief b;
       b.entry = DirectoryEntry{mn, view.t, view.position, view.estimated};
       b.age_seconds = std::max(0.0, now - view.t);
@@ -625,17 +603,9 @@ std::optional<ShardedDirectory::BoundedBelief> ShardedDirectory::lookup_bounded(
 
 void ShardedDirectory::for_each_track(
     const std::function<void(const broker::MnTrack&)>& fn) const {
-  std::vector<const broker::MnTrack*> sorted;
   for (const std::unique_ptr<Shard>& shard : shards_) {
     const std::lock_guard<std::mutex> lock(shard->mutex);
-    sorted.clear();
-    sorted.reserve(shard->tracks.size());
-    for (const auto& [mn, track] : shard->tracks) sorted.push_back(&track);
-    std::sort(sorted.begin(), sorted.end(),
-              [](const broker::MnTrack* a, const broker::MnTrack* b) {
-                return a->mn() < b->mn();
-              });
-    for (const broker::MnTrack* track : sorted) fn(*track);
+    for (const broker::MnTrack* track : shard->store.sorted()) fn(*track);
   }
 }
 
@@ -643,14 +613,11 @@ bool ShardedDirectory::restore_track(std::uint32_t mn, const double*& it,
                                      const double* end) {
   Shard& shard = shard_for(mn);
   const std::lock_guard<std::mutex> lock(shard.mutex);
-  if (shard.tracks.count(mn) != 0) return false;
-  broker::MnTrack track(mn, options_.history_limit,
-                        prototype_ != nullptr ? prototype_->clone() : nullptr);
-  if (!track.load_state(it, end)) return false;
-  const bool indexable = track.has_report();
-  const geo::Vec2 position = track.record().current_view.position;
-  shard.tracks.emplace(mn, std::move(track));
-  if (indexable) index_position(shard, mn, position);
+  const broker::MnTrack* track = shard.store.restore(mn, it, end);
+  if (track == nullptr) return false;
+  if (track->has_report()) {
+    index_position(shard, mn, track->record().current_view.position);
+  }
   return true;
 }
 
@@ -663,10 +630,11 @@ ShardedDirectory::StalenessSummary ShardedDirectory::staleness_summary(
   ages.reserve(64);
   for (const std::unique_ptr<Shard>& shard : shards_) {
     const std::lock_guard<std::mutex> lock(shard->mutex);
-    for (const auto& [mn, track] : shard->tracks) {
-      if (!track.has_report()) continue;
-      ages.push_back(std::max(0.0, now - track.last_reported_time()));
-    }
+    shard->store.for_each([&ages, now](const broker::MnTrack& track) {
+      if (track.has_report()) {
+        ages.push_back(std::max(0.0, now - track.last_reported_time()));
+      }
+    });
   }
   StalenessSummary summary;
   summary.tracked = ages.size();

@@ -2,13 +2,13 @@
 // broker's location DB.
 //
 // MN tracks are partitioned across N lock-striped shards (mn % shards);
-// each shard owns its tracks (broker::MnTrack — the exact single-MN
-// apply/estimate core the federation broker uses), a region index (uniform
-// grid of cells over current-view positions) and a monotonically-grown
-// bounding box used to terminate k-nearest ring expansion. All public
-// operations are safe to call concurrently from any thread; an operation
-// locks exactly the shards it touches, so updates and lookups for MNs on
-// different shards never contend.
+// each shard is one broker::TrackStore (the location DB the federation
+// broker uses), a region index (uniform grid of cells over current-view
+// positions) and a monotonically-grown bounding box used to terminate
+// k-nearest ring expansion. All public operations are safe to call
+// concurrently from any thread; an operation locks exactly the shards it
+// touches, so updates and lookups for MNs on different shards never
+// contend.
 //
 // advance_estimates() sweeps the shards concurrently: the calling thread
 // and up to min(shards, hardware threads) - 1 parked helper threads claim
@@ -46,9 +46,6 @@ namespace mgrid::serve {
 struct DirectoryOptions {
   /// Lock stripes (>= 1). Tracks live on shard mn % shards.
   std::size_t shards = 8;
-  /// Fixes retained per MN (>= 1). The serving layer keeps a short history;
-  /// the federation default (128) is tuned for offline diagnostics.
-  std::size_t history_limit = 8;
   /// Region-index cell edge, metres (> 0).
   double cell_size = 50.0;
 };
@@ -72,7 +69,7 @@ struct Neighbor {
 class ShardedDirectory {
  public:
   /// `estimator_prototype` (may be nullptr: estimation disabled) is cloned
-  /// per MN on first update, exactly like broker::LocationDb.
+  /// per MN on first update (broker::TrackStore).
   explicit ShardedDirectory(
       DirectoryOptions options,
       std::unique_ptr<estimation::LocationEstimator> estimator_prototype =
@@ -84,7 +81,7 @@ class ShardedDirectory {
 
   /// Applies one LU. Returns false when the update is rejected (timestamp
   /// regression for the MN or a non-finite field — see
-  /// broker::MnTrack::apply_update).
+  /// broker::MnTrack::apply_update); a rejected first LU leaves no track.
   bool update(std::uint32_t mn, SimTime t, geo::Vec2 position,
               geo::Vec2 velocity);
 
@@ -111,11 +108,12 @@ class ShardedDirectory {
                                                    SimTime t) const;
 
   /// Refreshes every stale track's view with its estimator forecast at `t`
-  /// (mirrors broker::LocationDb::advance_estimates) and moves the tracks
-  /// in the region index. Returns the number of estimates recorded. Shards
-  /// are swept concurrently (see the file comment); whole sweeps from
-  /// different callers are serialized. An exception from any shard is
-  /// rethrown here after every claimed shard has finished.
+  /// (broker::TrackStore::advance) and moves the tracks in the region
+  /// index. Returns the number of estimates recorded; a second call at the
+  /// same `t` records none. Shards are swept concurrently (see the file
+  /// comment); whole sweeps from different callers are serialized. An
+  /// exception from any shard is rethrown here after every claimed shard
+  /// has finished.
   std::size_t advance_estimates(SimTime t);
 
   /// All MNs whose current-view position lies within `radius` of `center`,
@@ -183,16 +181,17 @@ class ShardedDirectory {
       const std::function<void(const broker::MnTrack&)>& fn) const;
 
   /// Re-creates one track from snapshot state: constructs it with this
-  /// directory's configuration (history limit, estimator prototype clone),
-  /// loads the serialized words and indexes the restored current view.
-  /// Returns false (track not inserted) on malformed state or when the MN
-  /// already exists.
+  /// directory's estimator prototype clone, loads the serialized words and
+  /// indexes the restored current view. Returns false (track not inserted)
+  /// on malformed state or when the MN already exists.
   bool restore_track(std::uint32_t mn, const double*& it, const double* end);
 
  private:
   struct Shard {
+    explicit Shard(const estimation::LocationEstimator* prototype)
+        : store(prototype) {}
     mutable std::mutex mutex;
-    std::unordered_map<std::uint32_t, broker::MnTrack> tracks;
+    broker::TrackStore store;
     /// Region index: cell key -> MNs whose current view lies in the cell.
     std::unordered_map<std::int64_t, std::vector<std::uint32_t>> cells;
     /// Current cell of each indexed MN.

@@ -1,20 +1,29 @@
-// Directory snapshots (mgrid-snap-v1).
+// Directory snapshots (mgrid-snap-v2).
 //
 // A snapshot is a point-in-time serialization of every MnTrack in a
-// ShardedDirectory — fixes, bounded history and estimator internals, all as
-// raw IEEE-754 bit patterns — taken at a tick barrier so it corresponds to
-// an exact WAL position. Recovery loads the newest valid snapshot and
+// ShardedDirectory — both fixes and the estimator internals, all as raw
+// IEEE-754 bit patterns — taken at a tick barrier so it corresponds to an
+// exact WAL position. Recovery loads the newest valid snapshot and
 // replays only the WAL records after `wal_records`, bounding restart time
 // regardless of WAL length.
 //
 // File layout (little-endian):
 //   magic   "MGSN" (4 bytes)
-//   version u8 = 1, pad u8[3]
+//   version u8 = 2, pad u8[3]
 //   wal_records u64   — WAL records covered by this snapshot
 //   snap_time f64     — sim-time of the covering tick barrier
 //   track_count u32
 //   per track: mn u32, word_count u32, f64[word_count] (MnTrack state)
 //   crc u32           — crc32c over everything before it
+//
+// MnTrack state words (MnTrack::save_state):
+//   has_report (1), last_reported fix (6), current_view fix (6) — a fix is
+//   t, x, y, vx, vy, estimated — then has_estimator (1) and the estimator's
+//   own words (brown_polar: 11), so a brown_polar track is 25 words.
+// Version 1 carried a fix-history block after the two fixes (a count, then
+// 6 words per fix: 74 words per brown_polar track at 8 fixes). A v1 image
+// is refused like any damaged snapshot, so recovery falls back to an older
+// snapshot or to a full WAL replay.
 //
 // Snapshots are written atomically (tmp file + rename) and named
 // "snap-<wal_records>" so the newest is discoverable by scanning the WAL
@@ -31,7 +40,7 @@
 namespace mgrid::serve {
 
 inline constexpr std::uint8_t kSnapshotMagic[4] = {'M', 'G', 'S', 'N'};
-inline constexpr std::uint8_t kSnapshotVersion = 1;
+inline constexpr std::uint8_t kSnapshotVersion = 2;
 
 /// Serializes `directory` to `<dir>/snap-<wal_records>` via tmp + rename.
 /// Must be called at a tick barrier (no concurrent apply_batch /
@@ -41,7 +50,7 @@ inline constexpr std::uint8_t kSnapshotVersion = 1;
 bool write_snapshot(const ShardedDirectory& directory, const std::string& dir,
                     std::uint64_t wal_records, double snap_time);
 
-/// Serializes `directory` to an in-memory mgrid-snap-v1 image (the exact
+/// Serializes `directory` to an in-memory mgrid-snap-v2 image (the exact
 /// bytes write_snapshot() would put on disk) — the cluster layer ships this
 /// over the wire to bootstrap followers and hand off shards. Same barrier
 /// requirement as write_snapshot(); returns false when any track refuses
@@ -66,7 +75,7 @@ struct SnapshotData {
 /// mismatch or inconsistent counts. Never throws on damaged content.
 [[nodiscard]] bool load_snapshot(const std::string& path, SnapshotData& out);
 
-/// Parses an in-memory mgrid-snap-v1 image (load_snapshot() minus the
+/// Parses an in-memory mgrid-snap-v2 image (load_snapshot() minus the
 /// file read) — the receiving side of snapshot shipping. Same validation
 /// and failure contract as load_snapshot().
 [[nodiscard]] bool decode_snapshot(const std::uint8_t* data, std::size_t size,

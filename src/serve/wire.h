@@ -35,7 +35,7 @@
 //                               substream; the primary bootstraps the
 //                               follower with a snapshot first)
 //   kSnapshotChunk (11), VARIABLE payload (<= kMaxChunkBytes): raw bytes of
-//                               an mgrid-snap-v1 image, in order
+//                               an mgrid-snap-v2 image, in order
 //   kSnapshotDone (12), 16 bytes: total_bytes u64, wal_records u64
 //
 // Version-2 extension (trace propagation). kTracedLu is the only frame
@@ -98,7 +98,7 @@ enum class MsgType : std::uint8_t {
   /// kSnapshotDone) taken at the next tick barrier, then streams every
   /// subsequent kLu/kTick in WAL order (see cluster/replication.h).
   kSubscribe = 10,
-  /// One chunk of an mgrid-snap-v1 image. The only variable-length frame:
+  /// One chunk of an mgrid-snap-v2 image. The only variable-length frame:
   /// payload_len is the chunk size (<= kMaxChunkBytes).
   kSnapshotChunk = 11,
   /// Ends a snapshot transfer; total_bytes lets the receiver verify no

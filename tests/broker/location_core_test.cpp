@@ -4,7 +4,6 @@
 
 #include <memory>
 #include <optional>
-#include <stdexcept>
 #include <vector>
 
 #include "estimation/estimator.h"
@@ -13,14 +12,9 @@
 namespace mgrid::broker {
 namespace {
 
-TEST(MnTrack, RejectsZeroHistoryLimit) {
-  EXPECT_THROW(MnTrack(0, 0, nullptr), std::invalid_argument);
-}
-
-TEST(MnTrack, ApplyUpdateSetsBothViewsAndHistory) {
-  MnTrack track(7, 4, nullptr);
+TEST(MnTrack, ApplyUpdateSetsBothViews) {
+  MnTrack track(7, nullptr);
   EXPECT_FALSE(track.has_report());
-  EXPECT_FALSE(track.has_estimator());
 
   ASSERT_TRUE(track.apply_update(1.0, {10.0, 20.0}, {1.0, -1.0}));
   EXPECT_TRUE(track.has_report());
@@ -29,39 +23,25 @@ TEST(MnTrack, ApplyUpdateSetsBothViewsAndHistory) {
   EXPECT_EQ(track.record().current_view.position.y, 20.0);
   EXPECT_EQ(track.record().last_reported.velocity.x, 1.0);
   EXPECT_FALSE(track.record().current_view.estimated);
-  EXPECT_EQ(track.history().size(), 1u);
   EXPECT_EQ(track.mn(), 7u);
 }
 
 TEST(MnTrack, RejectsTimestampRegressionWithoutSideEffects) {
-  MnTrack track(1, 4, nullptr);
+  MnTrack track(1, nullptr);
   ASSERT_TRUE(track.apply_update(5.0, {1.0, 1.0}, {0.0, 0.0}));
   EXPECT_FALSE(track.apply_update(4.0, {9.0, 9.0}, {0.0, 0.0}));
   EXPECT_EQ(track.record().last_reported.t, 5.0);
   EXPECT_EQ(track.record().current_view.position.x, 1.0);
-  EXPECT_EQ(track.history().size(), 1u);
   // Equal timestamps are accepted (a re-report at the same tick).
   EXPECT_TRUE(track.apply_update(5.0, {2.0, 2.0}, {0.0, 0.0}));
   EXPECT_EQ(track.record().current_view.position.x, 2.0);
 }
 
-TEST(MnTrack, HistoryIsBounded) {
-  MnTrack track(1, 3, nullptr);
-  for (int i = 1; i <= 10; ++i) {
-    ASSERT_TRUE(track.apply_update(static_cast<double>(i),
-                                   {static_cast<double>(i), 0.0}, {0.0, 0.0}));
-  }
-  ASSERT_EQ(track.history().size(), 3u);
-  EXPECT_EQ(track.history().front().t, 8.0);
-  EXPECT_EQ(track.history().back().t, 10.0);
-}
-
 TEST(MnTrack, AdvanceRequiresEstimatorReportAndStaleness) {
-  MnTrack bare(1, 4, nullptr);
+  MnTrack bare(1, nullptr);
   EXPECT_FALSE(bare.advance(10.0).has_value());
 
-  MnTrack track(2, 4, estimation::make_estimator("dead_reckoning"));
-  EXPECT_TRUE(track.has_estimator());
+  MnTrack track(2, estimation::make_estimator("dead_reckoning"));
   EXPECT_FALSE(track.advance(10.0).has_value());  // no report yet
 
   ASSERT_TRUE(track.apply_update(3.0, {0.0, 0.0}, {2.0, 0.0}));
@@ -73,13 +53,23 @@ TEST(MnTrack, AdvanceRequiresEstimatorReportAndStaleness) {
   EXPECT_NEAR(estimate->x, 4.0, 1e-12);
   EXPECT_TRUE(track.record().current_view.estimated);
   EXPECT_EQ(track.record().current_view.t, 5.0);
-  // The received fix is untouched and history gained the estimate.
+  // The received fix is untouched.
   EXPECT_EQ(track.record().last_reported.t, 3.0);
-  EXPECT_EQ(track.history().size(), 2u);
+
+  // The view is now at 5: advancing to 5 again, or to an earlier time,
+  // changes nothing.
+  std::vector<double> before;
+  ASSERT_TRUE(track.save_state(before));
+  EXPECT_FALSE(track.advance(5.0).has_value());
+  EXPECT_FALSE(track.advance(4.0).has_value());
+  std::vector<double> after;
+  ASSERT_TRUE(track.save_state(after));
+  EXPECT_EQ(before, after);
+  EXPECT_TRUE(track.advance(6.0).has_value());
 }
 
 TEST(MnTrack, BeliefAtIsConst) {
-  MnTrack track(3, 4, estimation::make_estimator("dead_reckoning"));
+  MnTrack track(3, estimation::make_estimator("dead_reckoning"));
   ASSERT_TRUE(track.apply_update(1.0, {0.0, 0.0}, {1.0, 1.0}));
   const geo::Vec2 belief = track.belief_at(4.0);
   EXPECT_NEAR(belief.x, 3.0, 1e-12);
@@ -100,7 +90,7 @@ TEST(MnTrack, BitIdenticalToReferenceModel) {
   const std::unique_ptr<estimation::LocationEstimator> prototype =
       estimation::make_estimator("brown_polar");
 
-  MnTrack track(9, 128, prototype->clone());
+  MnTrack track(9, prototype->clone());
 
   // Reference state, exactly as the pre-refactor LocationDb kept it.
   std::unique_ptr<estimation::LocationEstimator> ref_estimator =

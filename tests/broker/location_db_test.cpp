@@ -3,12 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <memory>
+
+#include "estimation/estimator.h"
 
 namespace mgrid::broker {
 namespace {
 
 TEST(LocationDb, Validation) {
-  EXPECT_THROW(LocationDb(0), std::invalid_argument);
   LocationDb db;
   EXPECT_THROW(db.record_update(MnId::invalid(), 0.0, {0, 0}, {0, 0}),
                std::invalid_argument);
@@ -19,7 +22,6 @@ TEST(LocationDb, UnknownNodeLookups) {
   EXPECT_FALSE(db.knows(MnId{1}));
   EXPECT_FALSE(db.lookup(MnId{1}).has_value());
   EXPECT_TRUE(std::isinf(db.staleness(MnId{1}, 100.0)));
-  EXPECT_TRUE(db.history(MnId{1}).empty());
   EXPECT_TRUE(db.known_nodes().empty());
 }
 
@@ -37,33 +39,70 @@ TEST(LocationDb, RecordUpdateSetsReportedAndView) {
 }
 
 TEST(LocationDb, EstimateUpdatesViewNotReported) {
-  LocationDb db;
-  db.record_update(MnId{1}, 5.0, {1, 2}, {});
-  db.record_estimate(MnId{1}, 6.0, {1.5, 2.5});
+  const std::unique_ptr<estimation::LocationEstimator> prototype =
+      estimation::make_estimator("dead_reckoning");
+  LocationDb db(prototype.get());
+  db.record_update(MnId{1}, 5.0, {1, 2}, {0.5, 0.5});
+  EXPECT_EQ(db.advance_estimates(6.0), 1u);
   const auto record = db.lookup(MnId{1});
   EXPECT_EQ(record->last_reported.position, (geo::Vec2{1, 2}));
   EXPECT_EQ(record->current_view.position, (geo::Vec2{1.5, 2.5}));
+  EXPECT_EQ(record->current_view.t, 6.0);
   EXPECT_TRUE(record->current_view.estimated);
   // Staleness keys off the last *received* fix.
   EXPECT_EQ(db.staleness(MnId{1}, 10.0), 5.0);
 }
 
-TEST(LocationDb, EstimateForUnknownNodeThrows) {
-  LocationDb db;
-  EXPECT_THROW(db.record_estimate(MnId{9}, 1.0, {0, 0}), std::logic_error);
+TEST(LocationDb, SecondAdvanceToOneTickIsANoOp) {
+  const std::unique_ptr<estimation::LocationEstimator> prototype =
+      estimation::make_estimator("brown_polar");
+  LocationDb db(prototype.get());
+  for (std::uint32_t mn = 0; mn < 6; ++mn) {
+    for (int k = 1; k <= 4; ++k) {
+      const double t = static_cast<double>(k);
+      db.record_update(MnId{mn}, t, {3.0 * t + mn, -2.0 * t}, {3.0, -2.0});
+    }
+  }
+  db.record_update(MnId{0}, 7.0, {21.0, -14.0}, {3.0, -2.0});
+  // Five tracks are stale at 7; MN 0 reported at 7.
+  EXPECT_EQ(db.advance_estimates(7.0), 5u);
+  std::vector<LocationRecord> swept;
+  std::vector<geo::Vec2> beliefs;
+  for (const MnId mn : db.known_nodes()) {
+    swept.push_back(*db.lookup(mn));
+    beliefs.push_back(*db.belief_at(mn, 9.0));
+  }
+
+  EXPECT_EQ(db.advance_estimates(7.0), 0u);
+  EXPECT_EQ(db.advance_estimates(6.5), 0u);  // an earlier tick, too
+  const std::vector<MnId> nodes = db.known_nodes();
+  ASSERT_EQ(nodes.size(), swept.size());
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    const LocationRecord again = *db.lookup(nodes[i]);
+    EXPECT_EQ(again.current_view.t, swept[i].current_view.t);
+    EXPECT_EQ(again.current_view.position, swept[i].current_view.position);
+    EXPECT_EQ(again.current_view.estimated, swept[i].current_view.estimated);
+    EXPECT_EQ(*db.belief_at(nodes[i], 9.0), beliefs[i]);
+  }
+  EXPECT_EQ(db.advance_estimates(8.0), 6u);
 }
 
-TEST(LocationDb, HistoryInterleavesAndIsBounded) {
-  LocationDb db(/*history_limit=*/3);
-  db.record_update(MnId{1}, 1.0, {1, 0}, {});
-  db.record_estimate(MnId{1}, 2.0, {2, 0});
-  db.record_update(MnId{1}, 3.0, {3, 0}, {});
-  db.record_estimate(MnId{1}, 4.0, {4, 0});
-  const auto& history = db.history(MnId{1});
-  ASSERT_EQ(history.size(), 3u);  // bounded
-  EXPECT_EQ(history.front().t, 2.0);
-  EXPECT_TRUE(history.front().estimated);
-  EXPECT_EQ(history.back().t, 4.0);
+TEST(LocationDb, RejectedFirstUpdateLeavesNoTrack) {
+  LocationDb db;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(db.record_update(MnId{3}, 1.0, {nan, 0.0}, {0.0, 0.0}));
+  EXPECT_FALSE(db.record_update(MnId{3}, nan, {0.0, 0.0}, {0.0, 0.0}));
+  EXPECT_FALSE(db.knows(MnId{3}));
+  EXPECT_FALSE(db.lookup(MnId{3}).has_value());
+  EXPECT_TRUE(std::isinf(db.staleness(MnId{3}, 5.0)));
+  EXPECT_TRUE(db.known_nodes().empty());
+  EXPECT_EQ(db.size(), 0u);
+
+  // A later good LU creates the track; a bad one after it keeps it.
+  EXPECT_TRUE(db.record_update(MnId{3}, 2.0, {1.0, 1.0}, {0.0, 0.0}));
+  EXPECT_FALSE(db.record_update(MnId{3}, 3.0, {nan, 1.0}, {0.0, 0.0}));
+  EXPECT_TRUE(db.knows(MnId{3}));
+  EXPECT_EQ(db.lookup(MnId{3})->current_view.position, (geo::Vec2{1.0, 1.0}));
 }
 
 TEST(LocationDb, KnownNodesSorted) {

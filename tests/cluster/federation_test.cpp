@@ -33,7 +33,6 @@ namespace {
 serve::DirectoryOptions directory_options() {
   serve::DirectoryOptions options;
   options.shards = 4;
-  options.history_limit = 4;
   return options;
 }
 

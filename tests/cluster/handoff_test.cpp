@@ -18,6 +18,7 @@
 #include "serve/snapshot.h"
 #include "serve/wal.h"
 #include "serve/wire.h"
+#include "../scratch_path.h"
 
 namespace mgrid::cluster {
 namespace {
@@ -27,7 +28,6 @@ namespace fs = std::filesystem;
 serve::DirectoryOptions directory_options() {
   serve::DirectoryOptions options;
   options.shards = 4;
-  options.history_limit = 4;
   return options;
 }
 
@@ -89,12 +89,9 @@ std::vector<std::uint32_t> all_mns(std::uint32_t count) {
 class HandoffTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = (fs::temp_directory_path() /
-            ("mgrid_handoff_test_" +
-             std::string(::testing::UnitTest::GetInstance()
-                             ->current_test_info()
-                             ->name())))
-               .string();
+    dir_ = test::scratch_path(
+        std::string("handoff_test_") +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name());
     fs::remove_all(dir_);
   }
   void TearDown() override { fs::remove_all(dir_); }

@@ -27,6 +27,7 @@
 #include "serve/ingest.h"
 #include "serve/wal.h"
 #include "serve/wire.h"
+#include "../scratch_path.h"
 
 namespace mgrid::cluster {
 namespace {
@@ -36,7 +37,6 @@ namespace fs = std::filesystem;
 serve::DirectoryOptions directory_options() {
   serve::DirectoryOptions options;
   options.shards = 4;
-  options.history_limit = 4;
   return options;
 }
 
@@ -107,8 +107,7 @@ ShardClient make_client(const ShardUnderTest& shard) {
 }
 
 TEST(LuServer, StreamedTicksMatchLocalPipelineBitExact) {
-  const std::string wal_dir =
-      (fs::temp_directory_path() / "mgrid_lu_server_stream_test").string();
+  const std::string wal_dir = test::scratch_path("lu_server_stream_test");
   fs::remove_all(wal_dir);
   fs::create_directories(wal_dir);
   serve::WalWriter wal(wal_dir + "/wal.log", serve::FsyncPolicy::kNever);
@@ -159,8 +158,7 @@ TEST(LuServer, StreamedTicksMatchLocalPipelineBitExact) {
 
 TEST(LuServer, ABarrierTheWalCannotWriteFailsTheTick) {
   const std::string wal_dir =
-      (fs::temp_directory_path() / "mgrid_lu_server_wal_failure_test")
-          .string();
+      test::scratch_path("lu_server_wal_failure_test");
   fs::remove_all(wal_dir);
   fs::create_directories(wal_dir);
   const std::string wal_path = wal_dir + "/wal.log";

@@ -21,6 +21,7 @@
 #include "serve/ingest.h"
 #include "serve/wal.h"
 #include "serve/wire.h"
+#include "../scratch_path.h"
 
 namespace mgrid::cluster {
 namespace {
@@ -30,7 +31,6 @@ namespace fs = std::filesystem;
 serve::DirectoryOptions directory_options() {
   serve::DirectoryOptions options;
   options.shards = 4;
-  options.history_limit = 4;
   return options;
 }
 
@@ -137,7 +137,7 @@ void drive_ticks(ShardClient& client, std::uint64_t first, std::uint64_t last,
 
 TEST(Replication, MidStreamFollowerConvergesBitExact) {
   Primary primary(
-      (fs::temp_directory_path() / "mgrid_repl_midstream_test").string());
+      test::scratch_path("repl_midstream_test"));
   ShardClientOptions driver_options;
   driver_options.port = primary.server->port();
   ShardClient driver(driver_options);
@@ -198,7 +198,7 @@ TEST(Replication, MidStreamFollowerConvergesBitExact) {
 
 TEST(Replication, FollowerAttachedBeforeAnyDataStartsEmpty) {
   Primary primary(
-      (fs::temp_directory_path() / "mgrid_repl_fresh_test").string());
+      test::scratch_path("repl_fresh_test"));
   ShardClientOptions driver_options;
   driver_options.port = primary.server->port();
   ShardClient driver(driver_options);
@@ -236,7 +236,7 @@ TEST(Replication, FollowerAttachedBeforeAnyDataStartsEmpty) {
 
 TEST(Replication, StoppingTheFollowerDetachesItFromTheHub) {
   Primary primary(
-      (fs::temp_directory_path() / "mgrid_repl_detach_test").string());
+      test::scratch_path("repl_detach_test"));
   ShardClientOptions driver_options;
   driver_options.port = primary.server->port();
   ShardClient driver(driver_options);
@@ -272,9 +272,8 @@ TEST(Replication, StoppingTheFollowerDetachesItFromTheHub) {
 // Under the tsan preset this is the race check for stop() against run().
 TEST(Replication, StoppingALiveFollowerRacesNeitherStreamNorHangUp) {
   for (int round = 0; round < 4; ++round) {
-    Primary primary((fs::temp_directory_path() /
-                     ("mgrid_repl_stop_race_test_" + std::to_string(round)))
-                        .string());
+    Primary primary(
+        test::scratch_path("repl_stop_race_test_" + std::to_string(round)));
     ShardClientOptions driver_options;
     driver_options.port = primary.server->port();
     ShardClient driver(driver_options);
@@ -408,7 +407,7 @@ std::uint64_t recorded(const obs::SpanSnapshot& snapshot,
 
 TEST(Replication, SampledLuKeepsOneTraceIdFromRouterToFollower) {
   const TracedRun run = run_traced_cluster(
-      (fs::temp_directory_path() / "mgrid_repl_trace_test").string(),
+      test::scratch_path("repl_trace_test"),
       /*hops_enabled=*/true);
   ASSERT_FALSE(run.sampled.empty());
 
@@ -432,7 +431,7 @@ TEST(Replication, SampledLuKeepsOneTraceIdFromRouterToFollower) {
 // pipeline nor the follower reads a clock or fills its ring for them.
 TEST(Replication, DisabledHopTracersRecordNoPropagatedSpans) {
   const TracedRun run = run_traced_cluster(
-      (fs::temp_directory_path() / "mgrid_repl_trace_off_test").string(),
+      test::scratch_path("repl_trace_off_test"),
       /*hops_enabled=*/false);
   ASSERT_FALSE(run.sampled.empty());
   EXPECT_EQ(run.shard.sampled, 0u);

@@ -18,6 +18,7 @@
 #include "serve/wal.h"
 #include "serve/wire.h"
 #include "util/json.h"
+#include "../scratch_path.h"
 
 namespace mgrid::serve {
 namespace {
@@ -129,7 +130,7 @@ TEST(AdminServer, ReadyzHonoursTheDriverPredicate) {
 }
 
 TEST(AdminServer, ReadyzReportsAFailedWal) {
-  const std::string path = testing::TempDir() + "admin_readyz_wal_test.log";
+  const std::string path = test::scratch_path("admin_readyz_wal_test.log");
   std::remove(path.c_str());
   {
     obs::MetricsRegistry registry;

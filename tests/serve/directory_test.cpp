@@ -18,6 +18,7 @@
 
 #include "estimation/estimator.h"
 #include "geo/vec2.h"
+#include "obs/metrics.h"
 #include "util/rng.h"
 
 namespace mgrid::serve {
@@ -26,17 +27,14 @@ namespace {
 DirectoryOptions small_options(std::size_t shards = 4) {
   DirectoryOptions options;
   options.shards = shards;
-  options.history_limit = 4;
   options.cell_size = 25.0;
   return options;
 }
 
 TEST(ShardedDirectory, ValidatesOptions) {
-  EXPECT_THROW(ShardedDirectory(DirectoryOptions{0, 4, 25.0}),
+  EXPECT_THROW(ShardedDirectory(DirectoryOptions{0, 25.0}),
                std::invalid_argument);
-  EXPECT_THROW(ShardedDirectory(DirectoryOptions{4, 0, 25.0}),
-               std::invalid_argument);
-  EXPECT_THROW(ShardedDirectory(DirectoryOptions{4, 4, 0.0}),
+  EXPECT_THROW(ShardedDirectory(DirectoryOptions{4, 0.0}),
                std::invalid_argument);
 }
 
@@ -478,6 +476,34 @@ TEST(ShardedDirectory, ParallelAdvanceMatchesSerialBitForBit) {
   for (std::size_t i = 0; i < near_a.size(); ++i) {
     EXPECT_EQ(near_a[i].mn, near_b[i].mn);
   }
+}
+
+/// mgrid_serve_estimates_total in `registry`.
+double estimates_total(const obs::MetricsRegistry& registry) {
+  const obs::MetricsSnapshot snapshot = registry.snapshot();
+  const obs::MetricSample* sample =
+      snapshot.find("mgrid_serve_estimates_total");
+  return sample == nullptr ? 0.0 : sample->value;
+}
+
+TEST(ShardedDirectory, SecondAdvanceToOneTickIsANoOp) {
+  const obs::ScopedEnable on;
+  obs::MetricsRegistry registry;
+  const obs::ScopedRegistry scoped(registry);
+  ShardedDirectory directory(small_options(8),
+                             estimation::make_estimator("brown_polar"));
+  run_seeded_stream(directory, 5);
+  ASSERT_GT(directory.advance_estimates(40.0), 0u);
+  const double counted = estimates_total(registry);
+  const auto words = track_words(directory);
+
+  // Every view is already at 40: a repeated sweep, or one to an earlier
+  // time, records nothing, counts nothing and leaves every word alone.
+  EXPECT_EQ(directory.advance_estimates(40.0), 0u);
+  EXPECT_EQ(directory.advance_estimates(39.0), 0u);
+  EXPECT_EQ(estimates_total(registry), counted);
+  EXPECT_EQ(track_words(directory), words);
+  EXPECT_EQ(directory.advance_estimates(41.0), directory.size());
 }
 
 TEST(ShardedDirectory, ConcurrentAdvancesBesideWritesAndReads) {

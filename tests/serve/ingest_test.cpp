@@ -17,7 +17,6 @@ namespace {
 DirectoryOptions directory_options(std::size_t shards = 4) {
   DirectoryOptions options;
   options.shards = shards;
-  options.history_limit = 4;
   return options;
 }
 

@@ -19,6 +19,7 @@
 #include "serve/snapshot.h"
 #include "serve/wal.h"
 #include "serve/wire.h"
+#include "../scratch_path.h"
 
 namespace mgrid::serve {
 namespace {
@@ -28,7 +29,6 @@ namespace fs = std::filesystem;
 DirectoryOptions directory_options() {
   DirectoryOptions options;
   options.shards = 4;
-  options.history_limit = 4;
   return options;
 }
 
@@ -112,12 +112,9 @@ void expect_identical(const ShardedDirectory& a, const ShardedDirectory& b) {
 class RecoveryTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = (fs::temp_directory_path() /
-            ("mgrid_recovery_test_" +
-             std::string(::testing::UnitTest::GetInstance()
-                             ->current_test_info()
-                             ->name())))
-               .string();
+    dir_ = test::scratch_path(
+        std::string("recovery_test_") +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name());
     fs::remove_all(dir_);
   }
   void TearDown() override { fs::remove_all(dir_); }
@@ -260,6 +257,52 @@ TEST_F(RecoveryTest, CorruptSnapshotFallsBackToOlderOne) {
   expect_identical(*live.directory, *recovered);
 }
 
+/// Copies the snapshot at `from` to `to` stamped with `version`, CRC
+/// re-sealed so the version byte alone decides whether it loads.
+void copy_with_version(const std::string& from, const std::string& to,
+                       std::uint8_t version) {
+  std::ifstream in(from, std::ios::binary);
+  std::vector<std::uint8_t> image{std::istreambuf_iterator<char>(in),
+                                  std::istreambuf_iterator<char>()};
+  ASSERT_GT(image.size(), 8u);
+  image[4] = version;
+  const std::uint32_t crc = crc32c(image.data(), image.size() - 4);
+  for (int i = 0; i < 4; ++i) {
+    image[image.size() - 4 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+  }
+  std::ofstream out(to, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(image.data()),
+            static_cast<std::streamsize>(image.size()));
+}
+
+TEST_F(RecoveryTest, Version1SnapshotFallsBackBitIdentical) {
+  const LiveRun live = run_live(dir_, 6, 12, /*snapshot_every=*/4);
+  const std::vector<std::string> snaps = list_snapshots(dir_);
+  ASSERT_EQ(snaps.size(), 3u);
+  // The newest file is a version-1 image (the layout with a fix-history
+  // block): recovery refuses it and loads the newest v2 snapshot.
+  copy_with_version(snaps.front(), dir_ + "/snap-999999999", 1);
+  RecoverReport report;
+  const std::unique_ptr<ShardedDirectory> recovered = recover(report);
+  EXPECT_TRUE(report.snapshot_loaded);
+  EXPECT_GE(report.snapshots_rejected, 1u);
+  EXPECT_EQ(report.snapshot_path, snaps.front());
+  expect_identical(*live.directory, *recovered);
+  live.directory->advance_estimates(15.0);
+  recovered->advance_estimates(15.0);
+  expect_identical(*live.directory, *recovered);
+
+  // With only version-1 images left, recovery replays the whole WAL.
+  for (const std::string& snap : snaps) copy_with_version(snap, snap, 1);
+  RecoverReport replayed;
+  const std::unique_ptr<ShardedDirectory> from_wal = recover(replayed);
+  EXPECT_FALSE(replayed.snapshot_loaded);
+  EXPECT_EQ(replayed.snapshots_rejected, 4u);
+  EXPECT_EQ(replayed.ticks_replayed, 12u);
+  from_wal->advance_estimates(15.0);
+  expect_identical(*live.directory, *from_wal);
+}
+
 TEST_F(RecoveryTest, SnapshotFromWrongConfigurationIsRejected) {
   run_live(dir_, 4, 6, /*snapshot_every=*/3);
   // Recover with estimation disabled: the snapshot carries estimator words
@@ -397,8 +440,7 @@ TEST_F(RecoveryTest, GroupCommitWritesThePerRecordEncoding) {
 }
 
 TEST(SnapshotTest, ListSnapshotsOrdersNewestFirst) {
-  const std::string dir =
-      (fs::temp_directory_path() / "mgrid_snapshot_list_test").string();
+  const std::string dir = test::scratch_path("snapshot_list_test");
   fs::remove_all(dir);
   fs::create_directories(dir);
   for (const char* name : {"snap-5", "snap-40", "snap-9", "not-a-snap"}) {

@@ -14,6 +14,7 @@
 #include "serve/directory.h"
 #include "serve/ingest.h"
 #include "serve/replay.h"
+#include "../scratch_path.h"
 
 namespace mgrid::serve {
 namespace {
@@ -24,7 +25,7 @@ struct Recording {
 };
 
 /// Runs a short lossy experiment with the flight recorder on and writes the
-/// log next to gtest's temp dir.
+/// log to a per-process scratch path.
 Recording record(const std::string& tag, double duration,
                  const std::string& estimator, std::uint32_t sample_every = 1,
                  bool map_match = false) {
@@ -42,7 +43,7 @@ Recording record(const std::string& tag, double duration,
   Recording recording;
   recording.result = scenario::run_experiment(options);
   recording.eventlog_path =
-      testing::TempDir() + "/serve_replay_" + tag + ".jsonl";
+      test::scratch_path("serve_replay_" + tag + ".jsonl");
   obs::write_eventlog_file(recording.eventlog_path, event_log);
   return recording;
 }

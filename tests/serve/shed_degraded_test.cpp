@@ -14,6 +14,7 @@
 #include "serve/ingest.h"
 #include "serve/wal.h"
 #include "serve/wire.h"
+#include "../scratch_path.h"
 
 namespace mgrid::serve {
 namespace {
@@ -23,7 +24,6 @@ namespace fs = std::filesystem;
 DirectoryOptions directory_options() {
   DirectoryOptions options;
   options.shards = 2;
-  options.history_limit = 4;
   return options;
 }
 
@@ -115,8 +115,7 @@ TEST(AdmissionControl, QueueFullStormCountsShedsAndFlagsDegraded) {
 }
 
 TEST(AdmissionControl, ShedLusNeverReachTheWal) {
-  const std::string dir =
-      (fs::temp_directory_path() / "mgrid_shed_wal_test").string();
+  const std::string dir = test::scratch_path("shed_wal_test");
   fs::remove_all(dir);
   fs::create_directories(dir);
   {

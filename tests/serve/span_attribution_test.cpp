@@ -15,6 +15,7 @@
 #include "serve/ingest.h"
 #include "serve/wal.h"
 #include "serve/wire.h"
+#include "../scratch_path.h"
 
 namespace mgrid::serve {
 namespace {
@@ -107,8 +108,7 @@ TEST(SpanAttribution, StagesTileTheSpanTotalExactly) {
 }
 
 TEST(SpanAttribution, WalAppendIsCarvedOutOfTheQueueStage) {
-  const std::string path =
-      testing::TempDir() + "span_attribution_test.wal";
+  const std::string path = test::scratch_path("span_attribution_test.wal");
   std::remove(path.c_str());
   const std::vector<wire::LuMsg> stream = make_stream(2000, 61);
   std::vector<obs::LuSpan> spans;

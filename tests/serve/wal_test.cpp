@@ -12,6 +12,7 @@
 
 #include "file_size_limit.h"
 #include "serve/wire.h"
+#include "../scratch_path.h"
 
 namespace mgrid::serve {
 namespace {
@@ -21,13 +22,9 @@ namespace fs = std::filesystem;
 class WalTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("mgrid_wal_test_" +
-            std::to_string(
-                ::testing::UnitTest::GetInstance()->random_seed()) +
-            "_" + ::testing::UnitTest::GetInstance()
-                      ->current_test_info()
-                      ->name());
+    dir_ = test::scratch_path(
+        std::string("wal_test_") +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name());
     fs::create_directories(dir_);
     path_ = (dir_ / "wal.log").string();
   }
