@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) of every hot component: the distance
-// filter, classifier, clusterer, estimators, event queue, Dijkstra routing
-// and a full federation cycle. These quantify the ADF's processing cost —
-// the overhead budget a real deployment would pay per LU.
+// filter, classifier, clusterer, estimators, event queue, region lookup,
+// Dijkstra routing and a full federation cycle. These quantify the ADF's
+// processing cost — the overhead budget a real deployment would pay per LU.
 #include <benchmark/benchmark.h>
 
 #include "core/adf.h"
@@ -45,6 +45,22 @@ void BM_ClassifierObserveClassify(benchmark::State& state) {
 }
 BENCHMARK(BM_ClassifierObserveClassify);
 
+void BM_ClassifierFeatures(benchmark::State& state) {
+  // One full window of a walker that turns and pauses now and then.
+  core::MobilityClassifier classifier;
+  util::RngStream rng(12);
+  geo::Vec2 p{0, 0};
+  for (int i = 1; i <= 32; ++i) {
+    const double speed = i % 5 == 0 ? 0.0 : rng.uniform(0.5, 1.8);
+    p += geo::from_polar(rng.uniform(-3.14, 3.14), speed);
+    classifier.observe(MnId{1}, i, p);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(classifier.features(MnId{1}));
+  }
+}
+BENCHMARK(BM_ClassifierFeatures);
+
 void BM_ClustererAssign(benchmark::State& state) {
   const auto population = static_cast<unsigned>(state.range(0));
   core::SequentialClusterer clusterer;
@@ -79,6 +95,32 @@ void BM_AdfProcess(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AdfProcess)->Arg(140)->Arg(1000);
+
+void BM_AdfProcessCampusMix(benchmark::State& state) {
+  // Per-sample ADF cost over a campus-like population, one sample per MN
+  // per second: a quarter parked, most walking with turns, a few in
+  // vehicles. Arg = population (140 = the paper's, 1720 = the 10x10 city).
+  const auto population = static_cast<unsigned>(state.range(0));
+  core::AdaptiveDistanceFilter adf;
+  util::RngStream rng(13);
+  std::vector<geo::Vec2> positions(population);
+  std::vector<double> headings(population, 0.0);
+  double t = 0.0;
+  unsigned next = 0;
+  for (auto _ : state) {
+    const unsigned n = next % population;
+    if (n == 0) t += 1.0;
+    double speed = 0.0;
+    if (n % 4 != 0) {
+      headings[n] += rng.uniform(-0.6, 0.6);
+      speed = n % 16 == 1 ? rng.uniform(5.0, 10.0) : rng.uniform(0.5, 1.8);
+    }
+    positions[n] += geo::from_polar(headings[n], speed);
+    benchmark::DoNotOptimize(adf.process(MnId{n}, t, positions[n]));
+    ++next;
+  }
+}
+BENCHMARK(BM_AdfProcessCampusMix)->Arg(140)->Arg(1720);
 
 void BM_BrownPolarObserveEstimate(benchmark::State& state) {
   estimation::BrownPolarEstimator estimator;
@@ -121,6 +163,30 @@ void BM_EventQueueScheduleAndPop(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EventQueueScheduleAndPop);
+
+void BM_CampusLocate(benchmark::State& state, const geo::CampusMap& campus) {
+  // Half the probes inside a region (where precedence is decided), half
+  // anywhere on the map (mostly open ground).
+  util::RngStream rng(9);
+  const geo::Rect bounds = campus.bounds();
+  std::vector<geo::Vec2> probes;
+  for (int i = 0; i < 4096; ++i) {
+    if (i % 2 == 0) {
+      probes.push_back(campus.regions()[rng.index(campus.region_count())]
+                           .sample(rng));
+    } else {
+      probes.push_back({rng.uniform(bounds.min().x, bounds.max().x),
+                        rng.uniform(bounds.min().y, bounds.max().y)});
+    }
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(campus.locate(probes[i++ % probes.size()]));
+  }
+}
+BENCHMARK_CAPTURE(BM_CampusLocate, paper, geo::CampusMap::default_campus());
+BENCHMARK_CAPTURE(BM_CampusLocate, city_10x10,
+                  geo::CampusMap::grid_campus(10, 10));
 
 void BM_CampusDijkstra(benchmark::State& state) {
   const geo::CampusMap campus = geo::CampusMap::default_campus();

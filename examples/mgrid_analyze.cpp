@@ -338,7 +338,7 @@ int main(int argc, char** argv) {
       ++shown;
       timeline.add_row(
           {stats::format_double(rec.t, 0),
-           "(" + stats::format_double(rec.x, 1) + "," +
+           std::string("(").append(stats::format_double(rec.x, 1)) + "," +
                stats::format_double(rec.y, 1) + ")",
            rec.region, rec.state.empty() ? "-" : rec.state,
            rec.cluster < 0 ? "-" : std::to_string(rec.cluster),

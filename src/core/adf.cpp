@@ -108,21 +108,23 @@ FilterDecision AdaptiveDistanceFilter::update_dth(MnId mn, SimTime t,
     }
   }
 
+  // (2) classify + cluster, both from one pass over the window.
+  const MotionFeatures features = classifier_.features(mn);
   FilterDecision decision;
-  decision.pattern = classifier_.classify(mn);
-
-  // (2) classify + cluster.
+  decision.pattern = classifier_.classify(features);
   if (decision.pattern == mobility::MobilityPattern::kStop) {
     clusterer_.remove(mn);
     decision.dth = stop_dth();
   } else {
-    const MotionFeatures features = classifier_.features(mn);
     decision.cluster = clusterer_.assign(mn, features);
     decision.dth = params_.dth_factor *
                    clusterer_.cluster(decision.cluster).mean_speed() *
                    params_.sample_period;
   }
-  current_dth_[mn] = decision.dth;
+  const std::uint32_t slot = slots_.insert(mn);
+  if (slot == mn_state_.size()) mn_state_.emplace_back();
+  MnState& state = mn_state_[slot];
+  state.dth = decision.dth;
   decision.transmit = true;
   if (obs::eventlog_enabled()) obs::evt::threshold(decision.dth);
   if (obs::enabled()) {
@@ -131,14 +133,12 @@ FilterDecision AdaptiveDistanceFilter::update_dth(MnId mn, SimTime t,
     metrics.clusters.set(static_cast<double>(clusterer_.cluster_count()));
     // State-transition accounting (per-MN last pattern is only maintained
     // while telemetry is on; the first enabled sample seeds it silently).
-    const auto slot = static_cast<std::size_t>(mn.value());
-    if (slot >= last_pattern_.size()) last_pattern_.resize(slot + 1, 0xFF);
-    const std::uint8_t previous = last_pattern_[slot];
+    const std::uint8_t previous = state.last_pattern;
     const auto current = static_cast<std::uint8_t>(decision.pattern);
     if (previous != 0xFF && previous != current) {
       metrics.transitions[previous][current].inc();
     }
-    last_pattern_[slot] = current;
+    state.last_pattern = current;
   }
   return decision;
 }
@@ -149,8 +149,8 @@ void AdaptiveDistanceFilter::note_forced_transmit(MnId mn, SimTime /*t*/,
 }
 
 double AdaptiveDistanceFilter::current_dth(MnId mn) const {
-  auto it = current_dth_.find(mn);
-  return it == current_dth_.end() ? 0.0 : it->second;
+  const std::uint32_t slot = slots_.find(mn);
+  return slot == MnSlotIndex::kNoSlot ? 0.0 : mn_state_[slot].dth;
 }
 
 }  // namespace mgrid::core

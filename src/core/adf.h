@@ -20,6 +20,7 @@
 #include "core/classifier.h"
 #include "core/clustering.h"
 #include "core/distance_filter.h"
+#include "core/mn_slots.h"
 #include "core/update_filter.h"
 
 namespace mgrid::core {
@@ -85,13 +86,14 @@ class AdaptiveDistanceFilter final : public LocationUpdateFilter {
   MobilityClassifier classifier_;
   SequentialClusterer clusterer_;
   DistanceFilter filter_;
-  std::unordered_map<MnId, double> current_dth_;
-  /// Last classified pattern per MN, maintained only while telemetry is
-  /// enabled (feeds mgrid_adf_transitions_total).
-  /// Last classified pattern per MN (telemetry transition matrix), indexed
-  /// by MnId value; 0xFF = not yet seen. MnIds are dense in practice, so a
-  /// flat vector beats a hash map on the per-sample hot path.
-  std::vector<std::uint8_t> last_pattern_;
+  struct MnState {
+    double dth = 0.0;
+    /// Last classified pattern, maintained only while telemetry is enabled
+    /// (feeds mgrid_adf_transitions_total); 0xFF = not yet seen.
+    std::uint8_t last_pattern = 0xFF;
+  };
+  MnSlotIndex slots_;
+  std::vector<MnState> mn_state_;  // by slot
   SimTime last_rebuild_ = 0.0;
   bool rebuild_clock_started_ = false;
   std::uint64_t rebuilds_ = 0;

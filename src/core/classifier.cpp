@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <stdexcept>
-#include <vector>
 
 #include "obs/eventlog.h"
 #include "stats/running_stats.h"
@@ -10,7 +9,7 @@
 namespace mgrid::core {
 
 MobilityClassifier::MobilityClassifier(ClassifierParams params)
-    : params_(params) {
+    : params_(params), ring_(params.window - 1) {
   if (params.window < 2) {
     throw std::invalid_argument("MobilityClassifier: window must be >= 2");
   }
@@ -34,48 +33,84 @@ void MobilityClassifier::observe(MnId mn, SimTime t, geo::Vec2 position) {
   if (!mn.valid()) {
     throw std::invalid_argument("MobilityClassifier::observe: invalid MnId");
   }
-  auto& window = windows_[mn];
-  if (!window.empty()) {
-    if (t < window.back().t) {
-      throw std::invalid_argument(
-          "MobilityClassifier::observe: time went backwards");
-    }
-    if (t == window.back().t) return;  // duplicate tick
+  const std::uint32_t slot = slots_.insert(mn);
+  if (slot == tracks_.size()) {
+    tracks_.emplace_back();
+    steps_.resize(steps_.size() + ring_);
   }
-  window.push_back(Sample{t, position});
-  while (window.size() > params_.window) window.pop_front();
+  Track& track = tracks_[slot];
+  if (track.samples == 0) {
+    track.last_t = t;
+    track.last_position = position;
+    track.samples = 1;
+    ++tracked_;
+    return;
+  }
+  if (t < track.last_t) {
+    throw std::invalid_argument(
+        "MobilityClassifier::observe: time went backwards");
+  }
+  if (t == track.last_t) return;  // duplicate tick
+
+  Step step;
+  const Duration dt = t - track.last_t;
+  const geo::Vec2 displacement = position - track.last_position;
+  step.speed = displacement.norm() / dt;
+  // The heading of a (near-)zero displacement is noise, not direction.
+  if (step.speed >= params_.stop_epsilon) {
+    step.moving = true;
+    step.heading = displacement.heading();
+    if (track.has_moved) {
+      step.turn = geo::angle_diff(step.heading, track.last_moving_heading);
+    }
+    track.last_moving_heading = step.heading;
+    track.has_moved = true;
+  }
+
+  Step* ring = &steps_[slot * ring_];
+  if (track.samples < params_.window) {
+    std::size_t at = track.oldest + track.samples - 1;
+    if (at >= ring_) at -= ring_;
+    ring[at] = step;
+    ++track.samples;
+  } else {  // full: the new step replaces the oldest
+    ring[track.oldest] = step;
+    if (++track.oldest == ring_) track.oldest = 0;
+  }
+  track.last_t = t;
+  track.last_position = position;
 }
 
 MotionFeatures MobilityClassifier::features(MnId mn) const {
   MotionFeatures out;
-  auto it = windows_.find(mn);
-  if (it == windows_.end()) return out;
-  const std::deque<Sample>& window = it->second;
-  out.samples = window.size();
-  if (window.size() < 2) return out;
+  const std::uint32_t slot = slots_.find(mn);
+  if (slot == MnSlotIndex::kNoSlot) return out;
+  const Track& track = tracks_[slot];
+  out.samples = track.samples;
+  if (track.samples < 2) return out;
 
+  // Folds the cached steps oldest first, through the same accumulators and
+  // in the same order as a pass over the raw samples would, so the result
+  // is bit-identical to it. A turn counts only when the moving step before
+  // it is still in the window: that is every moving step after the first.
   stats::RunningStats speeds;
-  std::vector<double> headings;  // headings of moving segments only
-  for (std::size_t i = 1; i < window.size(); ++i) {
-    const Duration dt = window[i].t - window[i - 1].t;
-    const geo::Vec2 displacement =
-        window[i].position - window[i - 1].position;
-    const double dist = displacement.norm();
-    speeds.add(dist / dt);
-    // The heading of a (near-)zero displacement is noise, not direction.
-    if (dist / dt >= params_.stop_epsilon) {
-      headings.push_back(displacement.heading());
-    }
+  stats::RunningStats changes;
+  bool seen_moving = false;
+  const Step* ring = &steps_[slot * ring_];
+  std::size_t at = track.oldest;
+  for (std::size_t i = 1; i < track.samples; ++i) {
+    const Step& step = ring[at];
+    if (++at == ring_) at = 0;
+    speeds.add(step.speed);
+    if (!step.moving) continue;
+    if (seen_moving) changes.add(step.turn);
+    seen_moving = true;
+    out.heading = step.heading;
   }
   out.mean_speed = speeds.mean();
   out.speed_stddev = speeds.stddev();
-  if (!headings.empty()) out.heading = headings.back();
 
-  if (headings.size() >= 2) {
-    stats::RunningStats changes;
-    for (std::size_t i = 1; i < headings.size(); ++i) {
-      changes.add(geo::angle_diff(headings[i], headings[i - 1]));
-    }
+  if (!changes.empty()) {
     // RMS movement produces zero-mean but high-variance heading changes;
     // use the RMS of the change (not the stddev about the mean) so a single
     // steady turn still reads as "one direction change".
@@ -87,7 +122,11 @@ MotionFeatures MobilityClassifier::features(MnId mn) const {
 }
 
 mobility::MobilityPattern MobilityClassifier::classify(MnId mn) const {
-  const MotionFeatures f = features(mn);
+  return classify(features(mn));
+}
+
+mobility::MobilityPattern MobilityClassifier::classify(
+    const MotionFeatures& f) const {
   mobility::MobilityPattern pattern = mobility::MobilityPattern::kLinear;
   // Fig. 2, line 1: V_mn == 0 -> Stop.
   if (f.samples < 2 || f.mean_speed < params_.stop_epsilon) {
@@ -109,6 +148,11 @@ mobility::MobilityPattern MobilityClassifier::classify(MnId mn) const {
   return pattern;
 }
 
-void MobilityClassifier::forget(MnId mn) { windows_.erase(mn); }
+void MobilityClassifier::forget(MnId mn) {
+  const std::uint32_t slot = slots_.find(mn);
+  if (slot == MnSlotIndex::kNoSlot || tracks_[slot].samples == 0) return;
+  tracks_[slot] = Track{};
+  --tracked_;
+}
 
 }  // namespace mgrid::core

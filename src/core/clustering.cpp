@@ -25,30 +25,37 @@ ClusterId SequentialClusterer::create_cluster(const ClusterFeature& seed) {
   state.info.id = id;
   state.info.centroid = seed;
   clusters_.push_back(std::move(state));
+  ++live_clusters_;
   ++clusters_created_;
   return id;
 }
 
-void SequentialClusterer::add_member(ClusterState& cluster, MnId mn,
+void SequentialClusterer::add_member(ClusterState& cluster,
+                                     std::uint32_t slot,
                                      const ClusterFeature& f) {
   cluster.sum_speed += f.speed;
   cluster.sum_dir_x += f.dir_x;
   cluster.sum_dir_y += f.dir_y;
   ++cluster.info.size;
   refresh_centroid(cluster);
-  memberships_[mn] = cluster.info.id;
+  members_[slot] = Member{cluster.info.id, f};
+  ++member_count_;
 }
 
-void SequentialClusterer::remove_member(ClusterState& cluster, MnId mn) {
-  const ClusterFeature& f = latest_features_.at(mn);
+void SequentialClusterer::remove_member(ClusterState& cluster,
+                                        std::uint32_t slot) {
+  Member& member = members_[slot];
+  const ClusterFeature& f = member.feature;
   cluster.sum_speed -= f.speed;
   cluster.sum_dir_x -= f.dir_x;
   cluster.sum_dir_y -= f.dir_y;
   --cluster.info.size;
   refresh_centroid(cluster);
-  memberships_.erase(mn);
+  member.cluster = ClusterId::invalid();
+  --member_count_;
   if (cluster.info.size == 0) {
     clusters_[cluster.info.id.value()].reset();  // retire
+    --live_clusters_;
   }
 }
 
@@ -86,10 +93,11 @@ ClusterId SequentialClusterer::assign(MnId mn,
 
   // Detach from the current cluster first so the node's stale feature does
   // not drag the centroid it is being compared against.
-  if (auto it = memberships_.find(mn); it != memberships_.end()) {
-    remove_member(*clusters_[it->second.value()], mn);
+  const std::uint32_t slot = slots_.insert(mn);
+  if (slot == members_.size()) members_.emplace_back();
+  if (const ClusterId current = members_[slot].cluster; current.valid()) {
+    remove_member(*clusters_[current.value()], slot);
   }
-  latest_features_[mn] = f;
 
   double nearest_distance = 0.0;
   ClusterState* nearest = find_nearest(f, &nearest_distance);
@@ -98,11 +106,11 @@ ClusterId SequentialClusterer::assign(MnId mn,
   ClusterId id;
   if (nearest != nullptr &&
       (nearest_distance <= params_.alpha || cap_reached)) {
-    add_member(*nearest, mn, f);
+    add_member(*nearest, slot, f);
     id = nearest->info.id;
   } else {
     id = create_cluster(f);
-    add_member(*clusters_[id.value()], mn, f);
+    add_member(*clusters_[id.value()], slot, f);
   }
   if (obs::eventlog_enabled()) {
     obs::evt::clustered(static_cast<std::int64_t>(id.value()),
@@ -112,17 +120,20 @@ ClusterId SequentialClusterer::assign(MnId mn,
 }
 
 bool SequentialClusterer::remove(MnId mn) {
-  auto it = memberships_.find(mn);
-  if (it == memberships_.end()) return false;
-  remove_member(*clusters_[it->second.value()], mn);
-  latest_features_.erase(mn);
+  const std::uint32_t slot = slots_.find(mn);
+  if (slot == MnSlotIndex::kNoSlot) return false;
+  const ClusterId current = members_[slot].cluster;
+  if (!current.valid()) return false;
+  remove_member(*clusters_[current.value()], slot);
   return true;
 }
 
 std::optional<ClusterId> SequentialClusterer::cluster_of(MnId mn) const {
-  auto it = memberships_.find(mn);
-  if (it == memberships_.end()) return std::nullopt;
-  return it->second;
+  const std::uint32_t slot = slots_.find(mn);
+  if (slot == MnSlotIndex::kNoSlot || !members_[slot].cluster.valid()) {
+    return std::nullopt;
+  }
+  return members_[slot].cluster;
 }
 
 const ClusterInfo& SequentialClusterer::cluster(ClusterId id) const {
@@ -141,12 +152,19 @@ std::vector<ClusterInfo> SequentialClusterer::clusters() const {
   return out;
 }
 
-std::size_t SequentialClusterer::cluster_count() const noexcept {
-  std::size_t count = 0;
-  for (const auto& slot : clusters_) {
-    if (slot) ++count;
+std::vector<std::uint32_t> SequentialClusterer::members_by_mn(
+    ClusterId cluster) const {
+  std::vector<std::uint32_t> out;
+  for (std::uint32_t slot = 0; slot < members_.size(); ++slot) {
+    const ClusterId current = members_[slot].cluster;
+    if (current.valid() && (!cluster.valid() || current == cluster)) {
+      out.push_back(slot);
+    }
   }
-  return count;
+  std::sort(out.begin(), out.end(), [this](std::uint32_t a, std::uint32_t b) {
+    return slots_.mn(a) < slots_.mn(b);
+  });
+  return out;
 }
 
 void SequentialClusterer::rebuild(double merge_fraction) {
@@ -154,25 +172,27 @@ void SequentialClusterer::rebuild(double merge_fraction) {
     throw std::invalid_argument(
         "SequentialClusterer::rebuild: merge_fraction must be >= 0");
   }
-  // Snapshot members in MnId order for determinism.
-  std::vector<std::pair<MnId, ClusterFeature>> members(
-      latest_features_.begin(), latest_features_.end());
-  std::sort(members.begin(), members.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-
+  // Snapshot members in MnId order for determinism; each keeps the
+  // feature it last joined with.
+  const std::vector<std::uint32_t> members = members_by_mn(ClusterId{});
   clusters_.clear();
-  memberships_.clear();
-  for (const auto& [mn, f] : members) {
+  live_clusters_ = 0;
+  for (const std::uint32_t slot : members) {
+    members_[slot].cluster = ClusterId::invalid();
+  }
+  member_count_ = 0;
+  for (const std::uint32_t slot : members) {
+    const ClusterFeature f = members_[slot].feature;
     double nearest_distance = 0.0;
     ClusterState* nearest = find_nearest(f, &nearest_distance);
     const bool cap_reached =
         params_.max_clusters != 0 && cluster_count() >= params_.max_clusters;
     if (nearest != nullptr &&
         (nearest_distance <= params_.alpha || cap_reached)) {
-      add_member(*nearest, mn, f);
+      add_member(*nearest, slot, f);
     } else {
       const ClusterId id = create_cluster(f);
-      add_member(*clusters_[id.value()], mn, f);
+      add_member(*clusters_[id.value()], slot, f);
     }
   }
 
@@ -188,15 +208,11 @@ void SequentialClusterer::rebuild(double merge_fraction) {
         continue;
       }
       // Move every member of j into i.
-      std::vector<MnId> moved;
-      for (const auto& [mn, cid] : memberships_) {
-        if (cid == clusters_[j]->info.id) moved.push_back(mn);
-      }
-      std::sort(moved.begin(), moved.end());
-      for (MnId mn : moved) {
-        const ClusterFeature f = latest_features_.at(mn);
-        remove_member(*clusters_[j], mn);
-        add_member(*clusters_[i], mn, f);
+      for (const std::uint32_t slot :
+           members_by_mn(clusters_[j]->info.id)) {
+        const ClusterFeature f = members_[slot].feature;
+        remove_member(*clusters_[j], slot);
+        add_member(*clusters_[i], slot, f);
       }
     }
   }

@@ -10,9 +10,9 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
+#include "core/mn_slots.h"
 #include "core/motion_features.h"
 #include "util/types.h"
 
@@ -59,9 +59,11 @@ class SequentialClusterer {
 
   /// Live clusters, ordered by id.
   [[nodiscard]] std::vector<ClusterInfo> clusters() const;
-  [[nodiscard]] std::size_t cluster_count() const noexcept;
+  [[nodiscard]] std::size_t cluster_count() const noexcept {
+    return live_clusters_;
+  }
   [[nodiscard]] std::size_t member_count() const noexcept {
-    return memberships_.size();
+    return member_count_;
   }
 
   /// Reconstruction (paper step 6): re-assigns every member from scratch in
@@ -87,9 +89,21 @@ class SequentialClusterer {
     double sum_dir_y = 0.0;
   };
 
+  /// A node's cluster (invalid when unclustered) and the feature it joined
+  /// with.
+  struct Member {
+    ClusterId cluster;
+    ClusterFeature feature;
+  };
+
   ClusterId create_cluster(const ClusterFeature& seed);
-  void add_member(ClusterState& cluster, MnId mn, const ClusterFeature& f);
-  void remove_member(ClusterState& cluster, MnId mn);
+  void add_member(ClusterState& cluster, std::uint32_t slot,
+                  const ClusterFeature& f);
+  void remove_member(ClusterState& cluster, std::uint32_t slot);
+  /// Slots of the current members of `cluster` (every member when
+  /// invalid), in MnId order.
+  [[nodiscard]] std::vector<std::uint32_t> members_by_mn(
+      ClusterId cluster) const;
   void refresh_centroid(ClusterState& cluster) noexcept;
   [[nodiscard]] ClusterState* find_nearest(const ClusterFeature& f,
                                            double* out_distance);
@@ -97,8 +111,10 @@ class SequentialClusterer {
   ClusteringParams params_;
   // Dense-by-id storage; retired clusters become nullopt slots.
   std::vector<std::optional<ClusterState>> clusters_;
-  std::unordered_map<MnId, ClusterId> memberships_;
-  std::unordered_map<MnId, ClusterFeature> latest_features_;
+  std::size_t live_clusters_ = 0;
+  MnSlotIndex slots_;
+  std::vector<Member> members_;  // by slot
+  std::size_t member_count_ = 0;
   std::uint64_t clusters_created_ = 0;
 };
 

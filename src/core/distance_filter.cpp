@@ -6,6 +6,12 @@
 
 namespace mgrid::core {
 
+DistanceFilter::Anchor& DistanceFilter::anchor(MnId mn) {
+  const std::uint32_t slot = slots_.insert(mn);
+  if (slot == anchors_.size()) anchors_.emplace_back();
+  return anchors_[slot];
+}
+
 DistanceFilter::Decision DistanceFilter::apply(MnId mn, geo::Vec2 position,
                                                double dth) {
   if (!mn.valid()) {
@@ -14,15 +20,17 @@ DistanceFilter::Decision DistanceFilter::apply(MnId mn, geo::Vec2 position,
   if (dth < 0.0) {
     throw std::invalid_argument("DistanceFilter::apply: dth must be >= 0");
   }
-  auto [it, inserted] = anchors_.try_emplace(mn, position);
-  if (inserted) {
+  Anchor& last = anchor(mn);
+  if (!last.set) {
+    last = Anchor{position, true};
+    ++tracked_;
     ++transmitted_;
     if (obs::eventlog_enabled()) obs::evt::df_outcome(true, 0.0, true);
     return Decision{true, 0.0};
   }
-  const double moved = geo::distance(it->second, position);
+  const double moved = geo::distance(last.position, position);
   if (moved > dth) {
-    it->second = position;
+    last.position = position;
     ++transmitted_;
     if (obs::eventlog_enabled()) obs::evt::df_outcome(true, moved, false);
     return Decision{true, moved};
@@ -33,20 +41,29 @@ DistanceFilter::Decision DistanceFilter::apply(MnId mn, geo::Vec2 position,
 }
 
 double DistanceFilter::force_transmit(MnId mn, geo::Vec2 position) {
-  auto [it, inserted] = anchors_.try_emplace(mn, position);
+  Anchor& last = anchor(mn);
   ++transmitted_;
-  if (inserted) return 0.0;
-  const double moved = geo::distance(it->second, position);
-  it->second = position;
+  if (!last.set) {
+    last = Anchor{position, true};
+    ++tracked_;
+    return 0.0;
+  }
+  const double moved = geo::distance(last.position, position);
+  last.position = position;
   return moved;
 }
 
 std::optional<geo::Vec2> DistanceFilter::last_transmitted(MnId mn) const {
-  auto it = anchors_.find(mn);
-  if (it == anchors_.end()) return std::nullopt;
-  return it->second;
+  const std::uint32_t slot = slots_.find(mn);
+  if (slot == MnSlotIndex::kNoSlot || !anchors_[slot].set) return std::nullopt;
+  return anchors_[slot].position;
 }
 
-void DistanceFilter::forget(MnId mn) { anchors_.erase(mn); }
+void DistanceFilter::forget(MnId mn) {
+  const std::uint32_t slot = slots_.find(mn);
+  if (slot == MnSlotIndex::kNoSlot || !anchors_[slot].set) return;
+  anchors_[slot].set = false;
+  --tracked_;
+}
 
 }  // namespace mgrid::core

@@ -10,8 +10,9 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
+#include <vector>
 
+#include "core/mn_slots.h"
 #include "geo/vec2.h"
 #include "util/types.h"
 
@@ -39,7 +40,7 @@ class DistanceFilter {
 
   void forget(MnId mn);
   [[nodiscard]] std::size_t tracked_count() const noexcept {
-    return anchors_.size();
+    return tracked_;
   }
 
   [[nodiscard]] std::uint64_t transmitted() const noexcept {
@@ -48,7 +49,17 @@ class DistanceFilter {
   [[nodiscard]] std::uint64_t filtered() const noexcept { return filtered_; }
 
  private:
-  std::unordered_map<MnId, geo::Vec2> anchors_;
+  struct Anchor {
+    geo::Vec2 position;
+    bool set = false;
+  };
+
+  /// The anchor slot of `mn`, created unset on first sight.
+  Anchor& anchor(MnId mn);
+
+  MnSlotIndex slots_;
+  std::vector<Anchor> anchors_;  // by slot
+  std::size_t tracked_ = 0;
   std::uint64_t transmitted_ = 0;
   std::uint64_t filtered_ = 0;
 };

@@ -1,12 +1,76 @@
 #include "geo/campus.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace mgrid::geo {
 
-RegionId CampusMap::add_region(Region region) {
+namespace {
+
+/// Target index cells per region, and a cap per axis so a pathological
+/// hand-built map cannot blow the index up.
+constexpr double kCellsPerRegion = 16.0;
+constexpr std::uint32_t kMaxCellsPerAxis = 256;
+
+struct Box {
+  double min_x, min_y, max_x, max_y;
+};
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// An axis-aligned box holding every point Region::contains accepts. A
+/// rect's box is the rect itself, since contains compares against its
+/// bounds directly. A road's box is its centreline's box grown by half the
+/// width plus a relative slack far above the rounding error of the
+/// point-to-polyline distance. A region with a non-finite coordinate gets
+/// the whole plane, which only costs precision, never a miss.
+Box index_box(const Region& region) {
+  Box box{kInf, kInf, -kInf, -kInf};
+  if (const Rect* rect = region.rect()) {
+    box = {rect->min().x, rect->min().y, rect->max().x, rect->max().y};
+  } else {
+    double scale = 0.0;
+    for (Vec2 p : region.centreline()->points()) {
+      box = {std::min(box.min_x, p.x), std::min(box.min_y, p.y),
+             std::max(box.max_x, p.x), std::max(box.max_y, p.y)};
+      scale = std::max({scale, std::abs(p.x), std::abs(p.y)});
+    }
+    const double half = region.road_width() * 0.5;
+    const double grow = half + 1e-9 * (1.0 + scale + half);
+    box = {box.min_x - grow, box.min_y - grow, box.max_x + grow,
+           box.max_y + grow};
+  }
+  if (!(std::isfinite(box.min_x) && std::isfinite(box.min_y) &&
+        std::isfinite(box.max_x) && std::isfinite(box.max_y))) {
+    return {-kInf, -kInf, kInf, kInf};
+  }
+  return box;
+}
+
+/// "<prefix><i>_<j>", built by appending: GCC 12 at -O3 flags the
+/// `"literal" + std::string` form with a false -Wrestrict.
+std::string grid_name(const char* prefix, std::size_t i, std::size_t j) {
+  std::string name = prefix;
+  name += std::to_string(i);
+  name += '_';
+  name += std::to_string(j);
+  return name;
+}
+
+/// Cells along one axis for cells of edge `cell` (0: a single cell).
+std::uint32_t cells_along(double extent, double cell) {
+  if (!(cell > 0.0)) return 1;
+  const double n = std::ceil(extent / cell);
+  return static_cast<std::uint32_t>(
+      std::clamp(n, 1.0, static_cast<double>(kMaxCellsPerAxis)));
+}
+
+}  // namespace
+
+RegionId CampusMap::append_region(Region region) {
   const RegionId expected{static_cast<RegionId::value_type>(regions_.size())};
   if (region.id() != expected) {
     throw std::invalid_argument(
@@ -14,6 +78,100 @@ RegionId CampusMap::add_region(Region region) {
   }
   regions_.push_back(std::move(region));
   return expected;
+}
+
+RegionId CampusMap::add_region(Region region) {
+  const RegionId id = append_region(std::move(region));
+  build_index();
+  return id;
+}
+
+void CampusMap::build_index() {
+  std::vector<Box> boxes;
+  boxes.reserve(regions_.size());
+  Box bounds{kInf, kInf, -kInf, -kInf};
+  for (const Region& r : regions_) {
+    const Box& b = boxes.emplace_back(index_box(r));
+    bounds = {std::min(bounds.min_x, b.min_x), std::min(bounds.min_y, b.min_y),
+              std::max(bounds.max_x, b.max_x), std::max(bounds.max_y, b.max_y)};
+  }
+  index_min_x_ = bounds.min_x;
+  index_min_y_ = bounds.min_y;
+  index_max_x_ = bounds.max_x;
+  index_max_y_ = bounds.max_y;
+
+  // Square cells, about kCellsPerRegion of them per region; a degenerate
+  // (zero-extent) axis gets one cell, an unbounded map a single cell.
+  const double width = bounds.max_x - bounds.min_x;
+  const double height = bounds.max_y - bounds.min_y;
+  double cell = 0.0;
+  if (std::isfinite(width) && std::isfinite(height)) {
+    const double target =
+        kCellsPerRegion * static_cast<double>(regions_.size());
+    cell = width > 0.0 && height > 0.0 ? std::sqrt(width * height / target)
+                                       : std::max(width, height) / target;
+  }
+  cells_x_ = cells_along(width, cell);
+  cells_y_ = cells_along(height, cell);
+  cells_per_x_ = cells_x_ > 1 ? cells_x_ / width : 0.0;
+  cells_per_y_ = cells_y_ > 1 ? cells_y_ / height : 0.0;
+
+  // Regions in locate's precedence order, so each cell's list comes out
+  // already ordered: buildings, then roads, then gates, each by id.
+  std::vector<std::uint32_t> order;
+  order.reserve(regions_.size());
+  for (RegionKind kind :
+       {RegionKind::kBuilding, RegionKind::kRoad, RegionKind::kGate}) {
+    for (std::uint32_t i = 0; i < regions_.size(); ++i) {
+      if (regions_[i].kind() == kind) order.push_back(i);
+    }
+  }
+
+  // CSR in two sweeps over the boxes: count per cell, then fill. A box is
+  // mapped to cells by the same cell_x/cell_y as the query, and both are
+  // monotone in the coordinate, so every point of a box lands in one of
+  // the box's cells.
+  const std::size_t cell_count = std::size_t{cells_x_} * cells_y_;
+  const auto for_each_cell = [this, &boxes](std::uint32_t region,
+                                            auto&& visit) {
+    const Box& b = boxes[region];
+    const std::uint32_t x1 = cell_x(b.max_x);
+    const std::uint32_t y1 = cell_y(b.max_y);
+    for (std::uint32_t y = cell_y(b.min_y); y <= y1; ++y) {
+      for (std::uint32_t x = cell_x(b.min_x); x <= x1; ++x) {
+        visit(std::size_t{y} * cells_x_ + x);
+      }
+    }
+  };
+  cell_offsets_.assign(cell_count + 1, 0);
+  for (std::uint32_t region : order) {
+    for_each_cell(region, [this](std::size_t c) { ++cell_offsets_[c + 1]; });
+  }
+  for (std::size_t c = 0; c < cell_count; ++c) {
+    cell_offsets_[c + 1] += cell_offsets_[c];
+  }
+  cell_regions_.resize(cell_offsets_.back());
+  std::vector<std::uint32_t> fill(cell_offsets_.begin(),
+                                  cell_offsets_.end() - 1);
+  for (std::uint32_t region : order) {
+    for_each_cell(region, [this, &fill, region](std::size_t c) {
+      cell_regions_[fill[c]++] = region;
+    });
+  }
+}
+
+std::uint32_t CampusMap::cell_x(double x) const noexcept {
+  // x >= index_min_x_ here, so the product is >= 0 (or NaN on an unbounded
+  // single-cell map, which the comparison sends to the last cell).
+  const double f = (x - index_min_x_) * cells_per_x_;
+  return f < static_cast<double>(cells_x_) ? static_cast<std::uint32_t>(f)
+                                           : cells_x_ - 1;
+}
+
+std::uint32_t CampusMap::cell_y(double y) const noexcept {
+  const double f = (y - index_min_y_) * cells_per_y_;
+  return f < static_cast<double>(cells_y_) ? static_cast<std::uint32_t>(f)
+                                           : cells_y_ - 1;
 }
 
 const Region& CampusMap::region(RegionId id) const {
@@ -39,13 +197,18 @@ std::vector<RegionId> CampusMap::regions_of_kind(RegionKind kind) const {
 }
 
 std::optional<RegionId> CampusMap::locate(Vec2 p) const noexcept {
-  // Buildings first (an entrance belongs to its building), then roads,
-  // then gates.
-  for (RegionKind kind :
-       {RegionKind::kBuilding, RegionKind::kRoad, RegionKind::kGate}) {
-    for (const Region& r : regions_) {
-      if (r.kind() == kind && r.contains(p)) return r.id();
-    }
+  // Off the indexed bounds (NaN included) no region can contain p.
+  if (!(p.x >= index_min_x_ && p.x <= index_max_x_ && p.y >= index_min_y_ &&
+        p.y <= index_max_y_)) {
+    return std::nullopt;
+  }
+  // The cell's candidates are in precedence order: buildings first (an
+  // entrance belongs to its building), then roads, then gates.
+  const std::size_t cell = std::size_t{cell_y(p.y)} * cells_x_ + cell_x(p.x);
+  for (std::uint32_t i = cell_offsets_[cell]; i < cell_offsets_[cell + 1];
+       ++i) {
+    const Region& r = regions_[cell_regions_[i]];
+    if (r.contains(p)) return r.id();
   }
   return std::nullopt;
 }
@@ -117,13 +280,13 @@ CampusMap CampusMap::grid_campus(std::size_t blocks_x, std::size_t blocks_y,
   std::vector<RegionId> vertical_roads;
   for (std::size_t i = 0; i <= blocks_x; ++i) {
     const double x = static_cast<double>(i) * block_size;
-    vertical_roads.push_back(campus.add_region(Region(
+    vertical_roads.push_back(campus.append_region(Region(
         next_id(), "RV" + std::to_string(i), RegionKind::kRoad,
         Polyline({{x, 0.0}, {x, height}}), road_width)));
   }
   for (std::size_t j = 0; j <= blocks_y; ++j) {
     const double y = static_cast<double>(j) * block_size;
-    campus.add_region(Region(next_id(), "RH" + std::to_string(j),
+    campus.append_region(Region(next_id(), "RH" + std::to_string(j),
                              RegionKind::kRoad,
                              Polyline({{0.0, y}, {width, y}}), road_width));
   }
@@ -137,9 +300,9 @@ CampusMap CampusMap::grid_campus(std::size_t blocks_x, std::size_t blocks_y,
     for (std::size_t j = 0; j < blocks_y; ++j) {
       const double x0 = static_cast<double>(i) * block_size + margin;
       const double y0 = static_cast<double>(j) * block_size + margin;
-      buildings[i][j] = campus.add_region(Region(
+      buildings[i][j] = campus.append_region(Region(
           next_id(),
-          "B" + std::to_string(i) + "_" + std::to_string(j),
+          grid_name("B", i, j),
           RegionKind::kBuilding,
           Rect({x0, y0}, {x0 + block_size - 2.0 * margin,
                           y0 + block_size - 2.0 * margin})));
@@ -147,10 +310,10 @@ CampusMap CampusMap::grid_campus(std::size_t blocks_x, std::size_t blocks_y,
   }
 
   // Gates on the south edge (SW and SE corners).
-  const RegionId gate_a = campus.add_region(
+  const RegionId gate_a = campus.append_region(
       Region(next_id(), "GateA", RegionKind::kGate,
              Rect({-10.0, -10.0}, {10.0, 10.0})));
-  const RegionId gate_b = campus.add_region(
+  const RegionId gate_b = campus.append_region(
       Region(next_id(), "GateB", RegionKind::kGate,
              Rect({width - 10.0, -10.0}, {width + 10.0, 10.0})));
 
@@ -173,7 +336,7 @@ CampusMap CampusMap::grid_campus(std::size_t blocks_x, std::size_t blocks_y,
         region = gate_b;
       }
       intersections[i][j] = g.add_node(
-          {p, kind, "X" + std::to_string(i) + "_" + std::to_string(j),
+          {p, kind, grid_name("X", i, j),
            region});
     }
   }
@@ -190,7 +353,7 @@ CampusMap CampusMap::grid_campus(std::size_t blocks_x, std::size_t blocks_y,
       const double y_mid = (static_cast<double>(j) + 0.5) * block_size;
       const NodeIndex mid = g.add_node(
           {{x, y_mid}, NodeKind::kRoad,
-           "M" + std::to_string(i) + "_" + std::to_string(j),
+           grid_name("M", i, j),
            vertical_roads[i]});
       g.add_edge(intersections[i][j], mid);
       g.add_edge(mid, intersections[i][j + 1]);
@@ -199,12 +362,13 @@ CampusMap CampusMap::grid_campus(std::size_t blocks_x, std::size_t blocks_y,
         const Rect* rect = campus.region(buildings[i][j]).rect();
         const NodeIndex door = g.add_node(
             {{rect->min().x, y_mid}, NodeKind::kEntrance,
-             "B" + std::to_string(i) + "_" + std::to_string(j) + ".door",
+             grid_name("B", i, j) + ".door",
              buildings[i][j]});
         g.add_edge(mid, door);
       }
     }
   }
+  campus.build_index();
   return campus;
 }
 
@@ -219,19 +383,19 @@ CampusMap CampusMap::default_campus() {
   // --- Roads -------------------------------------------------------------
   // R1: east-west main road; R2/R4: south gate approaches; R3/R5: north
   // spurs toward the lab / lecture buildings.
-  const RegionId r1 = campus.add_region(Region(
+  const RegionId r1 = campus.append_region(Region(
       next_id(), "R1", RegionKind::kRoad,
       Polyline({{120.0, 220.0}, {450.0, 220.0}}), kRoadWidth));
-  const RegionId r2 = campus.add_region(Region(
+  const RegionId r2 = campus.append_region(Region(
       next_id(), "R2", RegionKind::kRoad,
       Polyline({{300.0, 0.0}, {300.0, 220.0}}), kRoadWidth));
-  const RegionId r3 = campus.add_region(Region(
+  const RegionId r3 = campus.append_region(Region(
       next_id(), "R3", RegionKind::kRoad,
       Polyline({{450.0, 220.0}, {450.0, 400.0}}), kRoadWidth));
-  const RegionId r4 = campus.add_region(Region(
+  const RegionId r4 = campus.append_region(Region(
       next_id(), "R4", RegionKind::kRoad,
       Polyline({{120.0, 0.0}, {120.0, 220.0}}), kRoadWidth));
-  const RegionId r5 = campus.add_region(Region(
+  const RegionId r5 = campus.append_region(Region(
       next_id(), "R5", RegionKind::kRoad,
       Polyline({{300.0, 220.0}, {300.0, 400.0}}), kRoadWidth));
   (void)r1;
@@ -241,30 +405,30 @@ CampusMap CampusMap::default_campus() {
   (void)r5;
 
   // --- Buildings ----------------------------------------------------------
-  const RegionId b1 = campus.add_region(Region(
+  const RegionId b1 = campus.append_region(Region(
       next_id(), "B1", RegionKind::kBuilding,
       Rect({55.0, 260.0}, {140.0, 320.0})));
-  const RegionId b2 = campus.add_region(Region(
+  const RegionId b2 = campus.append_region(Region(
       next_id(), "B2", RegionKind::kBuilding,
       Rect({180.0, 40.0}, {260.0, 100.0})));
-  const RegionId b3 = campus.add_region(Region(
+  const RegionId b3 = campus.append_region(Region(
       next_id(), "B3", RegionKind::kBuilding,
       Rect({480.0, 240.0}, {560.0, 300.0})));
-  const RegionId b4 = campus.add_region(Region(
+  const RegionId b4 = campus.append_region(Region(
       next_id(), "B4", RegionKind::kBuilding,  // the library
       Rect({200.0, 240.0}, {280.0, 300.0})));
-  const RegionId b5 = campus.add_region(Region(
+  const RegionId b5 = campus.append_region(Region(
       next_id(), "B5", RegionKind::kBuilding,
       Rect({340.0, 60.0}, {420.0, 120.0})));
-  const RegionId b6 = campus.add_region(Region(
+  const RegionId b6 = campus.append_region(Region(
       next_id(), "B6", RegionKind::kBuilding,  // lecture hall
       Rect({320.0, 330.0}, {400.0, 390.0})));
 
   // --- Gates ----------------------------------------------------------------
-  const RegionId gate_a = campus.add_region(Region(
+  const RegionId gate_a = campus.append_region(Region(
       next_id(), "GateA", RegionKind::kGate,
       Rect({110.0, -10.0}, {130.0, 10.0})));
-  const RegionId gate_b = campus.add_region(Region(
+  const RegionId gate_b = campus.append_region(Region(
       next_id(), "GateB", RegionKind::kGate,
       Rect({290.0, -10.0}, {310.0, 10.0})));
 
@@ -325,6 +489,7 @@ CampusMap CampusMap::default_campus() {
   g.add_edge(r3a, n3);
   g.add_edge(r3a, e3);
 
+  campus.build_index();
   return campus;
 }
 

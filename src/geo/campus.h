@@ -7,6 +7,8 @@
 // northern road spurs.
 #pragma once
 
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string_view>
@@ -38,6 +40,8 @@ class CampusMap {
   /// graph nodes referring to them.
   CampusMap() = default;
 
+  /// Appends a region (ids must be dense and in order) and rebuilds the
+  /// region index, so locate() sees it at once.
   RegionId add_region(Region region);
   WaypointGraph& graph() noexcept { return graph_; }
   [[nodiscard]] const WaypointGraph& graph() const noexcept { return graph_; }
@@ -61,9 +65,23 @@ class CampusMap {
   }
 
   /// Region containing p. Buildings take precedence over roads (an entrance
-  /// point belongs to the building), roads over gates. nullopt when p lies
-  /// on none of the regions (open ground).
+  /// point belongs to the building), roads over gates, and a lower id over
+  /// a higher one of the same kind. nullopt when p lies on none of the
+  /// regions (open ground, off the map, non-finite). Reads one cell of the
+  /// region index, so the cost does not grow with the region count.
   [[nodiscard]] std::optional<RegionId> locate(Vec2 p) const noexcept;
+
+  /// Geometry of locate's region index: the indexed bounds (inverted on an
+  /// empty map) split into cells_x x cells_y equal cells. For tests and
+  /// diagnostics.
+  struct IndexShape {
+    double min_x, min_y, max_x, max_y;
+    std::uint32_t cells_x, cells_y;
+  };
+  [[nodiscard]] IndexShape index_shape() const noexcept {
+    return {index_min_x_, index_min_y_, index_max_x_, index_max_y_,
+            cells_x_, cells_y_};
+  }
 
   /// Region whose boundary is closest to p (always defined).
   [[nodiscard]] RegionId nearest_region(Vec2 p) const;
@@ -75,8 +93,31 @@ class CampusMap {
   [[nodiscard]] Rect bounds() const;
 
  private:
+  /// Appends without re-indexing; the factories index once at the end.
+  RegionId append_region(Region region);
+  /// Rebuilds the uniform-grid region index from scratch in one pass.
+  void build_index();
+  [[nodiscard]] std::uint32_t cell_x(double x) const noexcept;
+  [[nodiscard]] std::uint32_t cell_y(double y) const noexcept;
+
   std::vector<Region> regions_;
   WaypointGraph graph_;
+
+  // Region index: a uniform grid over the union of the regions' bounding
+  // boxes. Cell c = cy * cells_x_ + cx holds the regions whose box meets
+  // it, in locate's precedence order, as
+  // cell_regions_[cell_offsets_[c] .. cell_offsets_[c + 1]) (CSR). The
+  // empty map's inverted bounds reject every point.
+  double index_min_x_ = std::numeric_limits<double>::infinity();
+  double index_min_y_ = std::numeric_limits<double>::infinity();
+  double index_max_x_ = -std::numeric_limits<double>::infinity();
+  double index_max_y_ = -std::numeric_limits<double>::infinity();
+  double cells_per_x_ = 0.0;  // cells per metre; 0 for a single column
+  double cells_per_y_ = 0.0;
+  std::uint32_t cells_x_ = 1;
+  std::uint32_t cells_y_ = 1;
+  std::vector<std::uint32_t> cell_offsets_;
+  std::vector<std::uint32_t> cell_regions_;
 };
 
 }  // namespace mgrid::geo

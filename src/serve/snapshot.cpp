@@ -1,6 +1,7 @@
 #include "serve/snapshot.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdio>
 #include <cstring>
@@ -50,12 +51,12 @@ double get_f64(const std::uint8_t* p) {
 bool encode_snapshot(const ShardedDirectory& directory,
                      std::uint64_t wal_records, double snap_time,
                      std::vector<std::uint8_t>& bytes) {
-  bytes.clear();
-  bytes.insert(bytes.end(), kSnapshotMagic, kSnapshotMagic + 4);
-  bytes.push_back(kSnapshotVersion);
-  bytes.push_back(0);
-  bytes.push_back(0);
-  bytes.push_back(0);
+  // Magic, version and three reserved zero bytes, built in a fixed-size
+  // array and copied in whole.
+  std::array<std::uint8_t, 8> header{};
+  std::memcpy(header.data(), kSnapshotMagic, sizeof kSnapshotMagic);
+  header[4] = kSnapshotVersion;
+  bytes.assign(header.begin(), header.end());
   put_u64(bytes, wal_records);
   put_f64(bytes, snap_time);
   const std::size_t count_offset = bytes.size();

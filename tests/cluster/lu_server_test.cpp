@@ -5,6 +5,7 @@
 #include <netinet/in.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/syscall.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -14,6 +15,7 @@
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -326,6 +328,33 @@ bool wait_for_connections(const LuServer& server, std::uint64_t count) {
   return server.stats().connections == count;
 }
 
+/// True when some thread of this process is blocked in accept() or
+/// accept4(), read from the syscall number that leads each
+/// /proc/self/task/<tid>/syscall line ("running" for a thread on a CPU).
+bool some_thread_in_accept() {
+  std::error_code error;
+  for (const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task", error)) {
+    std::ifstream in(task.path() / "syscall");
+    long number = -1;
+    if (!(in >> number)) continue;
+#ifdef SYS_accept
+    if (number == SYS_accept) return true;
+#endif
+    if (number == SYS_accept4) return true;
+  }
+  return false;
+}
+
+/// Polls some_thread_in_accept() for up to 5 s.
+bool wait_for_thread_in_accept() {
+  for (int i = 0; i < 5000; ++i) {
+    if (some_thread_in_accept()) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return false;
+}
+
 /// The fd-exhaustion scenario, run in a forked child because it lowers the
 /// process's RLIMIT_NOFILE and fills its fd table. Returns the child's exit
 /// code: 0 on success, otherwise the step that failed.
@@ -337,6 +366,10 @@ int accept_under_fd_exhaustion() {
   const int primer = ::socket(AF_INET, SOCK_STREAM, 0);
   const int client = ::socket(AF_INET, SOCK_STREAM, 0);
   if (primer < 0 || client < 0) return 10;
+  // start() returns once the accept thread is spawned, not once it blocks
+  // in accept(). The primer below relies on the fd slot a blocked accept()
+  // has already reserved, so the table may fill only after that.
+  if (!wait_for_thread_in_accept()) return 21;
   rlimit limit{};
   if (::getrlimit(RLIMIT_NOFILE, &limit) != 0) return 11;
   limit.rlim_cur = std::min<rlim_t>(limit.rlim_cur, 256);
@@ -379,7 +412,8 @@ TEST(LuServer, AcceptSurvivesFdExhaustion) {
   int status = 0;
   ASSERT_EQ(::waitpid(pid, &status, 0), pid);
   ASSERT_TRUE(WIFEXITED(status)) << "child status " << status;
-  // 18 = the listener never recovered: no ack within the I/O timeout.
+  // 18 = the listener never recovered: no ack within the I/O timeout;
+  // 21 = the accept thread never blocked in accept() within 5 s.
   EXPECT_EQ(WEXITSTATUS(status), 0);
 }
 

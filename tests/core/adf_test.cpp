@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <numbers>
+#include <vector>
 
 #include "core/baselines.h"
 #include "util/rng.h"
@@ -155,6 +158,49 @@ TEST(Adf, ErrorIsBoundedByDthPlusOneStep) {
     heading += rng.uniform(-0.3, 0.3);
     p += geo::from_polar(heading, rng.uniform(0.5, 2.0));
   }
+}
+
+TEST(Adf, SparseIdsDecideLikeDenseOnes) {
+  // Per-MN state sits in dense slots, with a hash fallback for ids past
+  // the direct range. Ids only matter to the rebuild's MnId order, so an
+  // order-preserving relabelling — dense ids against ones straddling the
+  // fallback — must give bit-identical decisions.
+  const std::vector<MnId> dense{MnId{0}, MnId{1}, MnId{2}, MnId{3}, MnId{4}};
+  const std::vector<MnId> sparse{MnId{9}, MnId{(1u << 20) - 1},
+                                 MnId{1u << 20}, MnId{0xFFFFFFF0u},
+                                 MnId{0xFFFFFFFEu}};
+  AdfParams params;
+  params.recluster_interval = 7.0;
+  AdaptiveDistanceFilter a(params);
+  AdaptiveDistanceFilter b(params);
+  util::RngStream rng(17);
+  std::vector<geo::Vec2> p(dense.size());
+  std::vector<double> heading(dense.size(), 0.0);
+  for (int t = 0; t < 120; ++t) {
+    // Visit the nodes in a shuffled order so slot order differs from id
+    // order.
+    for (std::size_t i = 0; i < dense.size(); ++i) {
+      const std::size_t k = (i * 3 + static_cast<std::size_t>(t)) % 5;
+      const double speed = k == 0 ? 0.0 : rng.uniform(0.2, 1.0) * k;
+      heading[k] += rng.uniform(-0.5, 0.5);
+      p[k] += geo::from_polar(heading[k], speed);
+      const FilterDecision da = a.process(dense[k], t, p[k]);
+      const FilterDecision db = b.process(sparse[k], t, p[k]);
+      ASSERT_EQ(da.transmit, db.transmit);
+      ASSERT_EQ(da.pattern, db.pattern);
+      ASSERT_EQ(da.cluster, db.cluster);
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(da.dth),
+                std::bit_cast<std::uint64_t>(db.dth));
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(da.moved),
+                std::bit_cast<std::uint64_t>(db.moved));
+    }
+  }
+  EXPECT_GT(a.rebuilds(), 10u);
+  EXPECT_EQ(a.transmitted(), b.transmitted());
+  for (std::size_t k = 0; k < dense.size(); ++k) {
+    EXPECT_EQ(a.current_dth(dense[k]), b.current_dth(sparse[k]));
+  }
+  EXPECT_EQ(b.current_dth(MnId{12345}), 0.0);
 }
 
 TEST(IdealReporter, TransmitsEverything) {

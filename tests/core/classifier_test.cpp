@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <deque>
 #include <numbers>
+#include <unordered_map>
+#include <vector>
 
+#include "stats/running_stats.h"
 #include "util/rng.h"
 
 namespace mgrid::core {
@@ -170,6 +177,159 @@ TEST_P(PeriodSweep, LinearWalkerStaysLinear) {
 
 INSTANTIATE_TEST_SUITE_P(Periods, PeriodSweep,
                          testing::Values(0.5, 1.0, 2.0, 5.0));
+
+/// The whole-window feature computation the classifier is defined by: a
+/// deque of raw samples, re-measured step by step on every call.
+class ReferenceWindows {
+ public:
+  explicit ReferenceWindows(ClassifierParams params) : params_(params) {}
+
+  void observe(MnId mn, SimTime t, geo::Vec2 position) {
+    auto& window = windows_[mn];
+    if (!window.empty() && t == window.back().t) return;  // duplicate tick
+    window.push_back(Sample{t, position});
+    while (window.size() > params_.window) window.pop_front();
+  }
+
+  void forget(MnId mn) { windows_.erase(mn); }
+
+  [[nodiscard]] MotionFeatures features(MnId mn) const {
+    MotionFeatures out;
+    auto it = windows_.find(mn);
+    if (it == windows_.end()) return out;
+    const std::deque<Sample>& window = it->second;
+    out.samples = window.size();
+    if (window.size() < 2) return out;
+    stats::RunningStats speeds;
+    std::vector<double> headings;
+    for (std::size_t i = 1; i < window.size(); ++i) {
+      const Duration dt = window[i].t - window[i - 1].t;
+      const geo::Vec2 displacement =
+          window[i].position - window[i - 1].position;
+      const double dist = displacement.norm();
+      speeds.add(dist / dt);
+      if (dist / dt >= params_.stop_epsilon) {
+        headings.push_back(displacement.heading());
+      }
+    }
+    out.mean_speed = speeds.mean();
+    out.speed_stddev = speeds.stddev();
+    if (!headings.empty()) out.heading = headings.back();
+    if (headings.size() >= 2) {
+      stats::RunningStats changes;
+      for (std::size_t i = 1; i < headings.size(); ++i) {
+        changes.add(geo::angle_diff(headings[i], headings[i - 1]));
+      }
+      const double mean_sq =
+          changes.variance() + changes.mean() * changes.mean();
+      out.heading_change_stddev = std::sqrt(mean_sq);
+    }
+    return out;
+  }
+
+ private:
+  struct Sample {
+    SimTime t;
+    geo::Vec2 position;
+  };
+  ClassifierParams params_;
+  std::unordered_map<MnId, std::deque<Sample>> windows_;
+};
+
+void expect_bit_identical(const MotionFeatures& got,
+                          const MotionFeatures& want, int step) {
+  EXPECT_EQ(got.samples, want.samples) << "step " << step;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.mean_speed),
+            std::bit_cast<std::uint64_t>(want.mean_speed))
+      << "step " << step;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.speed_stddev),
+            std::bit_cast<std::uint64_t>(want.speed_stddev))
+      << "step " << step;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.heading),
+            std::bit_cast<std::uint64_t>(want.heading))
+      << "step " << step;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.heading_change_stddev),
+            std::bit_cast<std::uint64_t>(want.heading_change_stddev))
+      << "step " << step;
+}
+
+class WindowSizes : public testing::TestWithParam<std::size_t> {};
+
+TEST_P(WindowSizes, FeaturesAreBitIdenticalToTheWholeWindowPass) {
+  // Random walks mixing every kind of step the cached-step window must
+  // reproduce: stops, sub-epsilon drift, walks, runs, headings that wrap
+  // across +-pi, uneven sample periods, duplicate ticks and forgotten MNs.
+  ClassifierParams params;
+  params.window = GetParam();
+  MobilityClassifier classifier(params);
+  ReferenceWindows reference(params);
+  util::RngStream rng(11 + GetParam());
+  // Dense ids plus one far beyond the direct-array range.
+  const std::vector<MnId> mns{MnId{0}, MnId{1}, MnId{7},
+                              MnId{0xFFFFFFF0u}};
+  std::vector<double> t(mns.size(), 0.0);
+  std::vector<geo::Vec2> p(mns.size());
+  std::vector<double> heading(mns.size(), 0.0);
+  for (int step = 0; step < 6000; ++step) {
+    const std::size_t k = rng.index(mns.size());
+    const MnId mn = mns[k];
+    const double roll = rng.uniform(0.0, 1.0);
+    if (roll < 0.01) {
+      classifier.forget(mn);
+      reference.forget(mn);
+    } else {
+      const double dt_roll = rng.uniform(0.0, 1.0);
+      const double dt = dt_roll < 0.1   ? 0.0  // duplicate tick
+                        : dt_roll < 0.2 ? rng.uniform(0.05, 3.0)
+                                        : 1.0;
+      t[k] += dt;
+      double speed = 0.0;
+      if (roll < 0.25) {
+        speed = 0.0;  // stopped
+      } else if (roll < 0.35) {
+        speed = rng.uniform(0.0, 2.0 * params.stop_epsilon);  // drift
+      } else if (roll < 0.85) {
+        speed = rng.uniform(0.3, params.walk_velocity);
+        heading[k] += rng.uniform(-1.5, 1.5);
+      } else {
+        speed = rng.uniform(params.walk_velocity, 12.0);
+        heading[k] = std::numbers::pi + rng.uniform(-0.2, 0.2);  // wraps
+      }
+      p[k] += geo::from_polar(heading[k], speed * (dt > 0.0 ? dt : 1.0));
+      classifier.observe(mn, t[k], p[k]);
+      reference.observe(mn, t[k], p[k]);
+    }
+    const MotionFeatures got = classifier.features(mn);
+    const MotionFeatures want = reference.features(mn);
+    expect_bit_identical(got, want, step);
+    // Both classify overloads read the same features.
+    EXPECT_EQ(classifier.classify(mn), classifier.classify(want));
+    if (testing::Test::HasFailure()) return;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Windows, WindowSizes, testing::Values(2, 3, 8, 17));
+
+TEST(Classifier, ForgottenMnStartsAFreshWindow) {
+  MobilityClassifier classifier;
+  const MnId mn{3};
+  for (int i = 0; i < 10; ++i) {
+    classifier.observe(mn, i, {3.0 * i, 0.0});
+  }
+  classifier.forget(mn);
+  EXPECT_EQ(classifier.features(mn).samples, 0u);
+  // Time may restart after a forget; the old heading leaves no turn.
+  classifier.observe(mn, 0.0, {0.0, 0.0});
+  classifier.observe(mn, 1.0, {0.0, 1.0});
+  classifier.observe(mn, 2.0, {0.0, 2.0});
+  const MotionFeatures f = classifier.features(mn);
+  EXPECT_EQ(f.samples, 3u);
+  EXPECT_EQ(f.heading_change_stddev, 0.0);
+  EXPECT_NEAR(f.heading, std::numbers::pi / 2.0, 1e-12);
+  EXPECT_EQ(classifier.tracked_count(), 1u);
+  classifier.forget(MnId{99});  // never seen: no effect
+  EXPECT_EQ(classifier.tracked_count(), 1u);
+}
 
 }  // namespace
 }  // namespace mgrid::core

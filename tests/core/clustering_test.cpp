@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
+#include "util/rng.h"
+
 namespace mgrid::core {
 namespace {
 
@@ -176,6 +182,81 @@ TEST(Clustering, InvalidMnRejected) {
   SequentialClusterer clusterer;
   EXPECT_THROW((void)clusterer.assign(MnId::invalid(), features_of(1.0)),
                std::invalid_argument);
+}
+
+TEST(Clustering, ClusterCountMatchesLiveClustersThroughout) {
+  // cluster_count() is a running counter; it must equal the live list
+  // after every assign, remove and rebuild, with and without a cap.
+  for (const std::size_t cap : {std::size_t{0}, std::size_t{3}}) {
+    ClusteringParams params;
+    params.alpha = 0.4;
+    params.max_clusters = cap;
+    SequentialClusterer clusterer(params);
+    util::RngStream rng(21 + cap);
+    for (int step = 0; step < 4000; ++step) {
+      const MnId mn{static_cast<MnId::value_type>(rng.index(40))};
+      const double roll = rng.uniform(0.0, 1.0);
+      if (roll < 0.25) {
+        (void)clusterer.remove(mn);
+      } else if (roll < 0.27) {
+        clusterer.rebuild(rng.uniform(0.0, 2.0));
+      } else {
+        (void)clusterer.assign(mn, features_of(rng.uniform(0.0, 6.0),
+                                               rng.uniform(-3.0, 3.0)));
+      }
+      const std::vector<ClusterInfo> live = clusterer.clusters();
+      ASSERT_EQ(clusterer.cluster_count(), live.size()) << "step " << step;
+      std::size_t members = 0;
+      for (const ClusterInfo& info : live) members += info.size;
+      ASSERT_EQ(clusterer.member_count(), members) << "step " << step;
+      if (cap != 0) {
+        ASSERT_LE(live.size(), cap);
+      }
+    }
+  }
+}
+
+TEST(Clustering, RebuildOrderIsByMnIdNotArrival) {
+  // The same members with the same features, first seen in opposite
+  // orders (so held in different slots), rebuild to the same clusters bit
+  // for bit. Ids straddle the direct-array range and the hash fallback.
+  const std::vector<MnId> ids{MnId{3},          MnId{0},       MnId{1u << 20},
+                              MnId{0xFFFFFFFEu}, MnId{(1u << 20) - 1},
+                              MnId{42},         MnId{7}};
+  std::vector<MotionFeatures> features;
+  util::RngStream rng(5);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    features.push_back(features_of(rng.uniform(0.0, 3.0),
+                                   rng.uniform(-3.0, 3.0)));
+  }
+  SequentialClusterer forward;
+  SequentialClusterer backward;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    (void)forward.assign(ids[i], features[i]);
+    const std::size_t j = ids.size() - 1 - i;
+    (void)backward.assign(ids[j], features[j]);
+  }
+  forward.rebuild();
+  backward.rebuild();
+  const auto a = forward.clusters();
+  const auto b = backward.clusters();
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].id, b[i].id);
+    EXPECT_EQ(a[i].size, b[i].size);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a[i].centroid.speed),
+              std::bit_cast<std::uint64_t>(b[i].centroid.speed));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a[i].centroid.dir_x),
+              std::bit_cast<std::uint64_t>(b[i].centroid.dir_x));
+  }
+  for (const MnId mn : ids) {
+    EXPECT_EQ(forward.cluster_of(mn), backward.cluster_of(mn));
+    EXPECT_TRUE(forward.cluster_of(mn).has_value());
+  }
+  EXPECT_TRUE(forward.remove(MnId{0xFFFFFFFEu}));
+  EXPECT_FALSE(forward.remove(MnId{0xFFFFFFFEu}));
+  EXPECT_FALSE(forward.remove(MnId{12345}));
+  EXPECT_EQ(forward.member_count(), ids.size() - 1);
 }
 
 TEST(ClusterFeature, DistanceIsEuclideanInEmbeddedSpace) {

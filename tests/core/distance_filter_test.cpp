@@ -88,6 +88,27 @@ TEST(DistanceFilter, ForgetDropsAnchor) {
   EXPECT_TRUE(filter.apply(MnId{1}, {0, 0}, 1.0).transmit);
 }
 
+TEST(DistanceFilter, AnyValidIdIsTracked) {
+  // Ids past the direct slot range take the hash fallback.
+  DistanceFilter filter;
+  for (const MnId mn : {MnId{0}, MnId{1u << 20}, MnId{0xFFFFFFFEu}}) {
+    EXPECT_TRUE(filter.apply(mn, {0.0, 0.0}, 1.0).transmit);
+    EXPECT_FALSE(filter.apply(mn, {0.5, 0.0}, 1.0).transmit);
+    EXPECT_TRUE(filter.apply(mn, {2.0, 0.0}, 1.0).transmit);
+    EXPECT_EQ(filter.last_transmitted(mn), (geo::Vec2{2.0, 0.0}));
+  }
+  EXPECT_EQ(filter.tracked_count(), 3u);
+  filter.forget(MnId{1u << 20});
+  filter.forget(MnId{1u << 20});  // twice: still one fewer
+  filter.forget(MnId{77});        // never seen
+  EXPECT_EQ(filter.tracked_count(), 2u);
+  EXPECT_FALSE(filter.last_transmitted(MnId{1u << 20}).has_value());
+  EXPECT_FALSE(filter.last_transmitted(MnId{77}).has_value());
+  // A forgotten node is new again: its next sample always transmits.
+  EXPECT_TRUE(filter.apply(MnId{1u << 20}, {2.0, 0.0}, 1.0).transmit);
+  EXPECT_EQ(filter.tracked_count(), 3u);
+}
+
 TEST(DistanceFilter, ErrorBoundProperty) {
   // Invariant the broker relies on: between transmissions, the node is
   // never farther than DTH from its last transmitted position.

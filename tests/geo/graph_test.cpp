@@ -107,7 +107,7 @@ TEST(WaypointGraph, DijkstraObeysTriangleInequality) {
   for (int i = 0; i < kNodes; ++i) {
     g.add_node({{rng.uniform(0, 100), rng.uniform(0, 100)},
                 NodeKind::kRoad,
-                "n" + std::to_string(i)});
+                std::string("n").append(std::to_string(i))});
   }
   // A ring for connectivity plus random chords.
   for (int i = 0; i < kNodes; ++i) {

@@ -53,7 +53,7 @@ TEST(TraceRecorderDrops, WraparoundTracksFirstAndLastLostEvent) {
   recorder.set_enabled(true);
   // 5 events into a 2-slot ring: e0, e1, e2 are overwritten in order.
   for (int i = 0; i < 5; ++i) {
-    recorder.instant("e" + std::to_string(i), "test");
+    recorder.instant(std::string("e").append(std::to_string(i)), "test");
   }
   const TraceRecorder::DroppedInfo info = recorder.dropped_info();
   EXPECT_EQ(info.count, 3u);

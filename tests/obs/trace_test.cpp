@@ -31,7 +31,7 @@ TEST(TraceRecorder, RingWrapsAroundKeepingNewestEvents) {
   TraceRecorder recorder(4);
   recorder.set_enabled(true);
   for (int i = 0; i < 6; ++i) {
-    recorder.instant("e" + std::to_string(i), "test");
+    recorder.instant(std::string("e").append(std::to_string(i)), "test");
   }
   EXPECT_EQ(recorder.size(), 4u);
   EXPECT_EQ(recorder.dropped(), 2u);

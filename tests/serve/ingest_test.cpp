@@ -85,7 +85,7 @@ TEST(IngestPipeline, FlushIsABarrier) {
 TEST(IngestPipeline, FinalStateIndependentOfWorkerAndSourceCount) {
   const std::vector<wire::LuMsg> stream = make_stream(120, 5);
   std::vector<std::vector<DirectoryEntry>> snapshots;
-  for (const auto [sources, workers] :
+  for (const auto& [sources, workers] :
        {std::pair<std::size_t, std::size_t>{1, 1}, {8, 1}, {8, 4}, {3, 7}}) {
     ShardedDirectory directory(directory_options());
     IngestOptions options;
