@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) of every hot component: the distance
 // filter, classifier, clusterer, estimators, event queue, region lookup,
-// Dijkstra routing and a full federation cycle. These quantify the ADF's
+// Dijkstra routing, the federation transport, the mobility federate's
+// per-MN-tick glue and a full federation cycle. These quantify the ADF's
 // processing cost — the overhead budget a real deployment would pay per LU.
 #include <benchmark/benchmark.h>
 
@@ -12,8 +13,12 @@
 #include "estimation/ar_estimator.h"
 #include "estimation/brown_estimator.h"
 #include "geo/campus.h"
+#include "net/gateway.h"
 #include "scenario/experiment.h"
+#include "scenario/federates.h"
+#include "scenario/workload.h"
 #include "sim/event_queue.h"
+#include "sim/federation.h"
 #include "util/rng.h"
 
 using namespace mgrid;
@@ -199,6 +204,123 @@ void BM_CampusDijkstra(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CampusDijkstra);
+
+struct DispatchPayload final : sim::InteractionPayload {
+  std::uint32_t sender = 0;
+};
+
+/// Sends one interaction per simulated sender every grant, like the
+/// mobility federate's LU stream.
+class DispatchSource final : public sim::Federate {
+ public:
+  explicit DispatchSource(std::uint32_t senders) : Federate("source") {
+    for (std::uint32_t i = 0; i < senders; ++i) {
+      auto payload = std::make_shared<DispatchPayload>();
+      payload->sender = i;
+      payloads_.push_back(std::move(payload));
+    }
+  }
+  void on_join() override { out_ = topic("dispatch.in"); }
+  void on_time_grant(SimTime t) override {
+    for (const auto& payload : payloads_) send(out_, t, payload);
+  }
+
+ private:
+  std::vector<std::shared_ptr<const sim::InteractionPayload>> payloads_;
+  sim::TopicId out_;
+};
+
+/// Forwards every interaction it receives, like the ADF relaying an LU.
+class DispatchRelay final : public sim::Federate {
+ public:
+  DispatchRelay() : Federate("relay") {}
+  void on_join() override {
+    subscribe("dispatch.in");
+    out_ = topic("dispatch.out");
+  }
+  void receive(const sim::Interaction& interaction) override {
+    if (interaction.payload_as<DispatchPayload>() != nullptr) {
+      send(out_, granted_time(), interaction.payload);
+    }
+  }
+
+ private:
+  sim::TopicId out_;
+};
+
+/// Receives every forwarded interaction, like the broker.
+class DispatchSink final : public sim::Federate {
+ public:
+  explicit DispatchSink(std::vector<std::string> topics)
+      : Federate("sink"), topics_(std::move(topics)) {}
+  void on_join() override {
+    for (const std::string& name : topics_) subscribe(name);
+  }
+  void receive(const sim::Interaction& interaction) override {
+    received_ += interaction.payload != nullptr ? 1 : 0;
+  }
+  std::uint64_t received_ = 0;
+
+ private:
+  std::vector<std::string> topics_;
+};
+
+void BM_FederationDispatch(benchmark::State& state) {
+  // The transport alone: per interaction, send -> merge into the pending
+  // queue -> route to subscribers -> receive, on 3 federates with 1720
+  // simulated senders (the 10x10 campus population). One iteration is 10
+  // grants of a long run.
+  const auto senders = static_cast<std::uint32_t>(state.range(0));
+  sim::Federation federation;
+  federation.join(std::make_shared<DispatchSource>(senders));
+  federation.join(std::make_shared<DispatchRelay>());
+  auto sink = std::make_shared<DispatchSink>(
+      std::vector<std::string>{"dispatch.out"});
+  federation.join(sink);
+  SimTime t = 0.0;
+  std::uint64_t delivered = 0;
+  for (auto _ : state) {
+    const std::uint64_t before = federation.stats().interactions_delivered;
+    federation.run(t, t + 10.0, 1.0);
+    t += 10.0;
+    delivered += federation.stats().interactions_delivered - before;
+  }
+  benchmark::DoNotOptimize(sink->received_);
+  state.counters["ns_per_interaction"] = benchmark::Counter(
+      static_cast<double>(delivered),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_FederationDispatch)->Arg(1720)->Unit(benchmark::kMicrosecond);
+
+void BM_PublishSamples(benchmark::State& state) {
+  // The mobility federate's per-MN-tick glue on the 10x10 campus (1720
+  // MNs): region lookup, gateway association, truth and LU payloads,
+  // battery, channel draw and send. Between timed calls an untimed
+  // federation cycle delivers what was sent and moves the nodes.
+  const geo::CampusMap campus = geo::CampusMap::grid_campus(10, 10);
+  const util::RngRegistry rng(1);
+  scenario::Workload workload(campus, scenario::WorkloadParams{}, rng);
+  net::GatewayNetwork gateways(campus);
+  auto mobility = std::make_shared<scenario::MobilityFederate>(
+      workload, gateways, scenario::MobilityConfig{}, rng.stream("channel"));
+  sim::Federation federation;
+  federation.join(mobility);
+  federation.join(std::make_shared<DispatchSink>(std::vector<std::string>{
+      std::string(net::kTopicLocationUpdate),
+      std::string(scenario::kTopicTruth)}));
+  SimTime t = 0.0;
+  for (auto _ : state) {
+    mobility->publish_samples(t);
+    state.PauseTiming();
+    federation.run(t, t + 1.0, 1.0);
+    t += 1.0;
+    state.ResumeTiming();
+  }
+  state.counters["ns_per_mn_tick"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * workload.size()),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_PublishSamples)->Unit(benchmark::kMicrosecond);
 
 void BM_FullExperimentSecond(benchmark::State& state) {
   // Cost of one simulated second of the full 140-node federation pipeline

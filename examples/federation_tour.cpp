@@ -38,7 +38,10 @@ class SensorFederate final : public sim::Federate {
   explicit SensorFederate(std::uint64_t seed)
       : Federate("sensor", /*lookahead=*/2.0), rng_(seed) {}
 
-  void on_join() override { subscribe("alarm"); }
+  void on_join() override {
+    subscribe("alarm");
+    reading_topic_ = topic("reading");
+  }
 
   void receive(const sim::Interaction& interaction) override {
     if (interaction.payload_as<Alarm>() != nullptr) heater_on_ = false;
@@ -50,7 +53,7 @@ class SensorFederate final : public sim::Federate {
     reading->celsius = temperature_;
     reading->at = t;
     // Time regulation: the earliest we may timestamp is t + lookahead.
-    send("reading", t + lookahead(), std::move(reading));
+    send(reading_topic_, t + lookahead(), std::move(reading));
   }
 
   [[nodiscard]] bool heater_on() const noexcept { return heater_on_; }
@@ -58,6 +61,7 @@ class SensorFederate final : public sim::Federate {
 
  private:
   util::RngStream rng_;
+  sim::TopicId reading_topic_;
   double temperature_ = 20.0;
   bool heater_on_ = true;
 };
@@ -66,7 +70,10 @@ class MonitorFederate final : public sim::Federate {
  public:
   MonitorFederate() : Federate("monitor"), smoother_(0.4) {}
 
-  void on_join() override { subscribe("reading"); }
+  void on_join() override {
+    subscribe("reading");
+    alarm_topic_ = topic("alarm");
+  }
 
   void receive(const sim::Interaction& interaction) override {
     const auto* reading = interaction.payload_as<Reading>();
@@ -81,7 +88,7 @@ class MonitorFederate final : public sim::Federate {
       auto alarm = std::make_shared<Alarm>();
       alarm->forecast = forecast;
       alarm->at = granted_time();
-      send("alarm", granted_time(), std::move(alarm));
+      send(alarm_topic_, granted_time(), std::move(alarm));
     }
   }
 
@@ -91,6 +98,7 @@ class MonitorFederate final : public sim::Federate {
 
  private:
   estimation::BrownDoubleSmoother smoother_;
+  sim::TopicId alarm_topic_;
   std::size_t readings_ = 0;
   bool alarm_raised_ = false;
 };

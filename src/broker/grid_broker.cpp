@@ -43,8 +43,9 @@ void GridBroker::on_location_update(MnId mn, SimTime t, geo::Vec2 position,
                                     geo::Vec2 velocity,
                                     double battery_fraction) {
   db_.record_update(mn, t, position, velocity);
-  last_contact_time_[mn] = t;
-  battery_[mn] = battery_fraction;
+  Contact& record = contact(mn);
+  record.last_time = t;
+  record.battery = battery_fraction;
   ++stats_.updates_received;
   if (obs::enabled()) broker_metrics().updates.inc();
 }
@@ -62,30 +63,38 @@ void GridBroker::on_tick(SimTime t) {
   }
 }
 
+GridBroker::Contact& GridBroker::contact(MnId mn) {
+  const std::uint32_t slot = contact_slots_.insert(mn);
+  if (slot == contacts_.size()) contacts_.emplace_back();
+  return contacts_[slot];
+}
+
 double GridBroker::battery_fraction(MnId mn) const {
-  auto it = battery_.find(mn);
-  return it == battery_.end() ? 1.0 : it->second;
+  const std::uint32_t slot = contact_slots_.find(mn);
+  return slot == util::MnSlotIndex::kNoSlot ? 1.0 : contacts_[slot].battery;
 }
 
 void GridBroker::on_keepalive(MnId mn, SimTime t) {
-  last_contact_time_[mn] = t;
+  contact(mn).last_time = t;
   ++stats_.keepalives_received;
   if (obs::enabled()) broker_metrics().keepalives.inc();
 }
 
 Duration GridBroker::contact_staleness(MnId mn, SimTime now) const {
-  auto it = last_contact_time_.find(mn);
-  if (it == last_contact_time_.end()) {
+  const std::uint32_t slot = contact_slots_.find(mn);
+  if (slot == util::MnSlotIndex::kNoSlot) {
     return std::numeric_limits<double>::infinity();
   }
-  return now - it->second;
+  return now - contacts_[slot].last_time;
 }
 
 std::vector<MnId> GridBroker::silent_nodes(SimTime now,
                                            Duration timeout) const {
   std::vector<MnId> out;
-  for (const auto& [mn, last] : last_contact_time_) {
-    if (now - last > timeout) out.push_back(mn);
+  for (std::uint32_t slot = 0; slot < contacts_.size(); ++slot) {
+    if (now - contacts_[slot].last_time > timeout) {
+      out.push_back(contact_slots_.mn(slot));
+    }
   }
   std::sort(out.begin(), out.end());
   return out;

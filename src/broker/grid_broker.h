@@ -7,10 +7,11 @@
 #pragma once
 
 #include <memory>
-#include <unordered_map>
+#include <vector>
 
 #include "broker/location_db.h"
 #include "estimation/estimator.h"
+#include "util/mn_slots.h"
 #include "util/types.h"
 
 namespace mgrid::broker {
@@ -82,8 +83,17 @@ class GridBroker {
   // non-owning pointer to it.
   std::unique_ptr<estimation::LocationEstimator> prototype_;
   LocationDb db_;
-  std::unordered_map<MnId, SimTime> last_contact_time_;
-  std::unordered_map<MnId, double> battery_;
+  /// Per contacted MN (LU or keepalive), by slot: its last contact and the
+  /// battery fraction its last LU reported (1.0 before any LU).
+  struct Contact {
+    SimTime last_time = 0.0;
+    double battery = 1.0;
+  };
+  /// The MN's contact record, created on first contact.
+  Contact& contact(MnId mn);
+
+  util::MnSlotIndex contact_slots_;
+  std::vector<Contact> contacts_;
   BrokerStats stats_;
 };
 

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "broker/location_core.h"
@@ -60,6 +61,11 @@ class LocationDb {
 
   /// All known MNs, sorted by id (deterministic iteration for callers).
   [[nodiscard]] std::vector<MnId> known_nodes() const;
+  /// Visits every MN's track in storage order (no sort, no copy).
+  template <typename Fn>
+  void for_each_track(Fn&& fn) const {
+    store_.for_each(std::forward<Fn>(fn));
+  }
   [[nodiscard]] std::size_t size() const noexcept { return store_.size(); }
 
  private:

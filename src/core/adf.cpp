@@ -150,7 +150,7 @@ void AdaptiveDistanceFilter::note_forced_transmit(MnId mn, SimTime /*t*/,
 
 double AdaptiveDistanceFilter::current_dth(MnId mn) const {
   const std::uint32_t slot = slots_.find(mn);
-  return slot == MnSlotIndex::kNoSlot ? 0.0 : mn_state_[slot].dth;
+  return slot == util::MnSlotIndex::kNoSlot ? 0.0 : mn_state_[slot].dth;
 }
 
 }  // namespace mgrid::core

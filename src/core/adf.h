@@ -20,8 +20,8 @@
 #include "core/classifier.h"
 #include "core/clustering.h"
 #include "core/distance_filter.h"
-#include "core/mn_slots.h"
 #include "core/update_filter.h"
+#include "util/mn_slots.h"
 
 namespace mgrid::core {
 
@@ -92,7 +92,7 @@ class AdaptiveDistanceFilter final : public LocationUpdateFilter {
     /// (feeds mgrid_adf_transitions_total); 0xFF = not yet seen.
     std::uint8_t last_pattern = 0xFF;
   };
-  MnSlotIndex slots_;
+  util::MnSlotIndex slots_;
   std::vector<MnState> mn_state_;  // by slot
   SimTime last_rebuild_ = 0.0;
   bool rebuild_clock_started_ = false;

@@ -84,7 +84,7 @@ void MobilityClassifier::observe(MnId mn, SimTime t, geo::Vec2 position) {
 MotionFeatures MobilityClassifier::features(MnId mn) const {
   MotionFeatures out;
   const std::uint32_t slot = slots_.find(mn);
-  if (slot == MnSlotIndex::kNoSlot) return out;
+  if (slot == util::MnSlotIndex::kNoSlot) return out;
   const Track& track = tracks_[slot];
   out.samples = track.samples;
   if (track.samples < 2) return out;
@@ -150,7 +150,9 @@ mobility::MobilityPattern MobilityClassifier::classify(
 
 void MobilityClassifier::forget(MnId mn) {
   const std::uint32_t slot = slots_.find(mn);
-  if (slot == MnSlotIndex::kNoSlot || tracks_[slot].samples == 0) return;
+  if (slot == util::MnSlotIndex::kNoSlot || tracks_[slot].samples == 0) {
+    return;
+  }
   tracks_[slot] = Track{};
   --tracked_;
 }

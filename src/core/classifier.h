@@ -11,9 +11,9 @@
 
 #include <vector>
 
-#include "core/mn_slots.h"
 #include "core/motion_features.h"
 #include "mobility/mobility_model.h"
+#include "util/mn_slots.h"
 #include "util/types.h"
 
 namespace mgrid::core {
@@ -87,7 +87,7 @@ class MobilityClassifier {
 
   ClassifierParams params_;
   std::size_t ring_;  // steps per window: params_.window - 1
-  MnSlotIndex slots_;
+  util::MnSlotIndex slots_;
   std::vector<Track> tracks_;
   std::vector<Step> steps_;
   std::size_t tracked_ = 0;

@@ -25,7 +25,7 @@ ClusterId SequentialClusterer::create_cluster(const ClusterFeature& seed) {
   state.info.id = id;
   state.info.centroid = seed;
   clusters_.push_back(std::move(state));
-  ++live_clusters_;
+  live_ids_.push_back(id.value());  // the largest id so far: stays sorted
   ++clusters_created_;
   return id;
 }
@@ -54,8 +54,9 @@ void SequentialClusterer::remove_member(ClusterState& cluster,
   member.cluster = ClusterId::invalid();
   --member_count_;
   if (cluster.info.size == 0) {
-    clusters_[cluster.info.id.value()].reset();  // retire
-    --live_clusters_;
+    const ClusterId::value_type id = cluster.info.id.value();
+    live_ids_.erase(std::lower_bound(live_ids_.begin(), live_ids_.end(), id));
+    clusters_[id].reset();  // retire
   }
 }
 
@@ -69,14 +70,15 @@ void SequentialClusterer::refresh_centroid(ClusterState& cluster) noexcept {
 
 SequentialClusterer::ClusterState* SequentialClusterer::find_nearest(
     const ClusterFeature& f, double* out_distance) {
+  // Ascending id order with a strict `<`: ties go to the lowest id.
   ClusterState* best = nullptr;
   double best_d = std::numeric_limits<double>::infinity();
-  for (auto& slot : clusters_) {
-    if (!slot) continue;
-    const double d = f.distance_to(slot->info.centroid);
+  for (const ClusterId::value_type id : live_ids_) {
+    ClusterState& cluster = *clusters_[id];
+    const double d = f.distance_to(cluster.info.centroid);
     if (d < best_d) {
       best_d = d;
-      best = &*slot;
+      best = &cluster;
     }
   }
   if (out_distance != nullptr) *out_distance = best_d;
@@ -121,7 +123,7 @@ ClusterId SequentialClusterer::assign(MnId mn,
 
 bool SequentialClusterer::remove(MnId mn) {
   const std::uint32_t slot = slots_.find(mn);
-  if (slot == MnSlotIndex::kNoSlot) return false;
+  if (slot == util::MnSlotIndex::kNoSlot) return false;
   const ClusterId current = members_[slot].cluster;
   if (!current.valid()) return false;
   remove_member(*clusters_[current.value()], slot);
@@ -130,7 +132,8 @@ bool SequentialClusterer::remove(MnId mn) {
 
 std::optional<ClusterId> SequentialClusterer::cluster_of(MnId mn) const {
   const std::uint32_t slot = slots_.find(mn);
-  if (slot == MnSlotIndex::kNoSlot || !members_[slot].cluster.valid()) {
+  if (slot == util::MnSlotIndex::kNoSlot ||
+      !members_[slot].cluster.valid()) {
     return std::nullopt;
   }
   return members_[slot].cluster;
@@ -146,8 +149,9 @@ const ClusterInfo& SequentialClusterer::cluster(ClusterId id) const {
 
 std::vector<ClusterInfo> SequentialClusterer::clusters() const {
   std::vector<ClusterInfo> out;
-  for (const auto& slot : clusters_) {
-    if (slot) out.push_back(slot->info);
+  out.reserve(live_ids_.size());
+  for (const ClusterId::value_type id : live_ids_) {
+    out.push_back(clusters_[id]->info);
   }
   return out;
 }
@@ -176,7 +180,7 @@ void SequentialClusterer::rebuild(double merge_fraction) {
   // feature it last joined with.
   const std::vector<std::uint32_t> members = members_by_mn(ClusterId{});
   clusters_.clear();
-  live_clusters_ = 0;
+  live_ids_.clear();
   for (const std::uint32_t slot : members) {
     members_[slot].cluster = ClusterId::invalid();
   }

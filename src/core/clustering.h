@@ -12,8 +12,8 @@
 #include <optional>
 #include <vector>
 
-#include "core/mn_slots.h"
 #include "core/motion_features.h"
+#include "util/mn_slots.h"
 #include "util/types.h"
 
 namespace mgrid::core {
@@ -60,7 +60,7 @@ class SequentialClusterer {
   /// Live clusters, ordered by id.
   [[nodiscard]] std::vector<ClusterInfo> clusters() const;
   [[nodiscard]] std::size_t cluster_count() const noexcept {
-    return live_clusters_;
+    return live_ids_.size();
   }
   [[nodiscard]] std::size_t member_count() const noexcept {
     return member_count_;
@@ -111,8 +111,10 @@ class SequentialClusterer {
   ClusteringParams params_;
   // Dense-by-id storage; retired clusters become nullopt slots.
   std::vector<std::optional<ClusterState>> clusters_;
-  std::size_t live_clusters_ = 0;
-  MnSlotIndex slots_;
+  // Ids of the live clusters, ascending: find_nearest scans only these, so
+  // retired slots cost nothing between rebuilds.
+  std::vector<ClusterId::value_type> live_ids_;
+  util::MnSlotIndex slots_;
   std::vector<Member> members_;  // by slot
   std::size_t member_count_ = 0;
   std::uint64_t clusters_created_ = 0;

@@ -55,13 +55,15 @@ double DistanceFilter::force_transmit(MnId mn, geo::Vec2 position) {
 
 std::optional<geo::Vec2> DistanceFilter::last_transmitted(MnId mn) const {
   const std::uint32_t slot = slots_.find(mn);
-  if (slot == MnSlotIndex::kNoSlot || !anchors_[slot].set) return std::nullopt;
+  if (slot == util::MnSlotIndex::kNoSlot || !anchors_[slot].set) {
+    return std::nullopt;
+  }
   return anchors_[slot].position;
 }
 
 void DistanceFilter::forget(MnId mn) {
   const std::uint32_t slot = slots_.find(mn);
-  if (slot == MnSlotIndex::kNoSlot || !anchors_[slot].set) return;
+  if (slot == util::MnSlotIndex::kNoSlot || !anchors_[slot].set) return;
   anchors_[slot].set = false;
   --tracked_;
 }

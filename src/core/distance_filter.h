@@ -12,8 +12,8 @@
 #include <optional>
 #include <vector>
 
-#include "core/mn_slots.h"
 #include "geo/vec2.h"
+#include "util/mn_slots.h"
 #include "util/types.h"
 
 namespace mgrid::core {
@@ -57,7 +57,7 @@ class DistanceFilter {
   /// The anchor slot of `mn`, created unset on first sight.
   Anchor& anchor(MnId mn);
 
-  MnSlotIndex slots_;
+  util::MnSlotIndex slots_;
   std::vector<Anchor> anchors_;  // by slot
   std::size_t tracked_ = 0;
   std::uint64_t transmitted_ = 0;

@@ -1,5 +1,6 @@
 #include "net/gateway.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "obs/eventlog.h"
@@ -50,7 +51,10 @@ GatewayNetwork::GatewayNetwork(const geo::CampusMap& campus)
     gw.name = (gw.kind == GatewayKind::kAccessPoint ? "ap." : "bs.") +
               region.name();
     gw.coverage = region.id();
-    by_region_.emplace(region.id(), gw.id);
+    if (by_region_.size() <= region.id().value()) {
+      by_region_.resize(region.id().value() + 1);
+    }
+    by_region_[region.id().value()] = gw.id;
     gateways_.push_back(std::move(gw));
   }
 }
@@ -63,30 +67,35 @@ const WirelessGateway& GatewayNetwork::gateway(GatewayId id) const {
 }
 
 GatewayId GatewayNetwork::gateway_for_region(RegionId region) const {
-  auto it = by_region_.find(region);
-  if (it == by_region_.end()) {
+  if (!region.valid() || region.value() >= by_region_.size() ||
+      !by_region_[region.value()].valid()) {
     throw std::out_of_range("GatewayNetwork::gateway_for_region: unknown");
   }
-  return it->second;
+  return by_region_[region.value()];
+}
+
+RegionId GatewayNetwork::serving_region(geo::Vec2 p) const {
+  const std::optional<RegionId> region = campus_.locate(p);
+  return region ? *region : campus_.nearest_region(p);
 }
 
 GatewayId GatewayNetwork::serving_gateway(geo::Vec2 p) const {
-  const std::optional<RegionId> region = campus_.locate(p);
-  return gateway_for_region(region ? *region : campus_.nearest_region(p));
+  return gateway_for_region(serving_region(p));
 }
 
 GatewayNetwork::AssociationResult GatewayNetwork::update_association(
-    MnId mn, geo::Vec2 p) {
-  const GatewayId serving = serving_gateway(p);
-  auto [it, inserted] = associations_.try_emplace(mn, serving);
+    MnId mn, RegionId region) {
+  const GatewayId serving = gateway_for_region(region);
+  const std::uint32_t slot = slots_.insert(mn);
   AssociationResult result{serving, false};
-  if (inserted) {
+  if (slot == associations_.size()) {
+    associations_.push_back(serving);
     if (obs::enabled()) {
       gateway_metrics().associations.set(
           static_cast<double>(associations_.size()));
     }
-  } else if (it->second != serving) {
-    it->second = serving;
+  } else if (associations_[slot] != serving) {
+    associations_[slot] = serving;
     ++handovers_;
     result.handover = true;
     if (obs::enabled()) gateway_metrics().handovers.inc();
@@ -99,17 +108,14 @@ GatewayNetwork::AssociationResult GatewayNetwork::update_association(
 }
 
 std::optional<GatewayId> GatewayNetwork::association(MnId mn) const {
-  auto it = associations_.find(mn);
-  if (it == associations_.end()) return std::nullopt;
-  return it->second;
+  const std::uint32_t slot = slots_.find(mn);
+  if (slot == util::MnSlotIndex::kNoSlot) return std::nullopt;
+  return associations_[slot];
 }
 
 std::size_t GatewayNetwork::load(GatewayId gw) const {
-  std::size_t count = 0;
-  for (const auto& [mn, assigned] : associations_) {
-    if (assigned == gw) ++count;
-  }
-  return count;
+  return static_cast<std::size_t>(
+      std::count(associations_.begin(), associations_.end(), gw));
 }
 
 }  // namespace mgrid::net

@@ -8,10 +8,10 @@
 
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "geo/campus.h"
+#include "util/mn_slots.h"
 #include "util/types.h"
 
 namespace mgrid::net {
@@ -43,21 +43,27 @@ class GatewayNetwork {
   [[nodiscard]] const std::vector<WirelessGateway>& gateways() const noexcept {
     return gateways_;
   }
+  [[nodiscard]] const geo::CampusMap& campus() const noexcept {
+    return campus_;
+  }
   /// Gateway serving the given region.
   [[nodiscard]] GatewayId gateway_for_region(RegionId region) const;
 
-  /// Gateway that would serve a node at `p` (region containment, else
-  /// nearest region).
+  /// Region whose gateway serves a node at `p`: the region containing it,
+  /// else the nearest region.
+  [[nodiscard]] RegionId serving_region(geo::Vec2 p) const;
+  /// Gateway that would serve a node at `p` (serving_region's gateway).
   [[nodiscard]] GatewayId serving_gateway(geo::Vec2 p) const;
 
-  /// Records the MN's current position; re-associates if it moved into
-  /// another gateway's coverage. Returns the serving gateway and whether a
-  /// handover happened.
+  /// Records the region the MN's current position lies in (its
+  /// serving_region()); re-associates if that is another gateway's
+  /// coverage. Returns the serving gateway and whether a handover happened.
+  /// Throws std::out_of_range for a region without a gateway.
   struct AssociationResult {
     GatewayId gateway;
     bool handover = false;
   };
-  AssociationResult update_association(MnId mn, geo::Vec2 p);
+  AssociationResult update_association(MnId mn, RegionId region);
 
   /// Current association of an MN (nullopt before its first update).
   [[nodiscard]] std::optional<GatewayId> association(MnId mn) const;
@@ -70,8 +76,9 @@ class GatewayNetwork {
  private:
   const geo::CampusMap& campus_;
   std::vector<WirelessGateway> gateways_;
-  std::unordered_map<RegionId, GatewayId> by_region_;
-  std::unordered_map<MnId, GatewayId> associations_;
+  std::vector<GatewayId> by_region_;  // by RegionId
+  util::MnSlotIndex slots_;
+  std::vector<GatewayId> associations_;  // by slot
   std::uint64_t handovers_ = 0;
 };
 

@@ -162,7 +162,7 @@ ExperimentResult run_experiment(const ExperimentOptions& options) {
   std::vector<std::shared_ptr<FilterFederate>> filters;
   for (std::size_t shard = 0; shard < options.adf_shards; ++shard) {
     filters.push_back(std::make_shared<FilterFederate>(
-        make_filter(options), campus, options.bucket_width,
+        make_filter(options), gateways, options.bucket_width,
         options.device_side_filtering, /*dth_hysteresis=*/0.1, shard,
         options.adf_shards));
   }

@@ -69,10 +69,11 @@ MobilityFederate::MobilityFederate(Workload& workload,
 }
 
 void MobilityFederate::on_join() {
-  if (config_.device_side) {
-    subscribe(std::string(net::kTopicDthUpdate));
-  }
-  subscribe(std::string(net::kTopicJobAssign));
+  if (config_.device_side) dth_topic_ = subscribe(net::kTopicDthUpdate);
+  job_assign_topic_ = subscribe(net::kTopicJobAssign);
+  truth_topic_ = topic(kTopicTruth);
+  lu_topic_ = topic(net::kTopicLocationUpdate);
+  job_result_topic_ = topic(net::kTopicJobResult);
 }
 
 /// Compute throughput by device class, work units per second.
@@ -89,8 +90,10 @@ static double device_compute_rate(mobility::DeviceType device) noexcept {
 }
 
 void MobilityFederate::receive(const sim::Interaction& interaction) {
-  if (const auto* update = interaction.payload_as<net::DthUpdate>()) {
-    if (!update->mn.valid() || update->mn.value() >= device_filters_.size()) {
+  if (interaction.topic == dth_topic_) {
+    const auto* update = interaction.payload_as<net::DthUpdate>();
+    if (update == nullptr || !update->mn.valid() ||
+        update->mn.value() >= device_filters_.size()) {
       return;  // unknown node (e.g. scaled-down rerun); ignore
     }
     device_filters_[update->mn.value()].set_dth(update->dth);
@@ -98,8 +101,9 @@ void MobilityFederate::receive(const sim::Interaction& interaction) {
         energy_.rx_cost_j(update->wire_bytes()));
     return;
   }
-  if (const auto* assign = interaction.payload_as<net::JobAssign>()) {
-    if (!assign->assignee.valid() ||
+  if (interaction.topic == job_assign_topic_) {
+    const auto* assign = interaction.payload_as<net::JobAssign>();
+    if (assign == nullptr || !assign->assignee.valid() ||
         assign->assignee.value() >= job_queues_.size()) {
       return;
     }
@@ -139,15 +143,9 @@ void MobilityFederate::run_compute(SimTime t) {
       if (battery.empty()) continue;
       battery.drain(energy_.tx_cost_j(result->wire_bytes()));
       if (!channel_delivers(node.id())) continue;
-      send(std::string(net::kTopicJobResult), t, std::move(result));
+      send(job_result_topic_, t, std::move(result));
     }
   }
-}
-
-geo::RegionKind MobilityFederate::kind_at(geo::Vec2 p) const {
-  const geo::CampusMap& campus = workload_.campus();
-  const std::optional<RegionId> region = campus.locate(p);
-  return campus.region(region ? *region : campus.nearest_region(p)).kind();
 }
 
 bool MobilityFederate::channel_delivers(MnId mn) {
@@ -157,18 +155,21 @@ bool MobilityFederate::channel_delivers(MnId mn) {
 
 void MobilityFederate::publish_samples(SimTime t) {
   const bool eventlog = obs::eventlog_enabled();
+  const geo::CampusMap& campus = workload_.campus();
   for (const mobility::MobileNode& node : workload_.nodes()) {
     const geo::Vec2 position = node.position();
     const geo::Vec2 velocity = node.velocity();
-    const geo::RegionKind kind = kind_at(position);
+    // The one region lookup of this MN-tick: it gives the sample's kind and
+    // its serving gateway.
+    const RegionId region = gateways_.serving_region(position);
+    const geo::RegionKind kind = campus.region(region).kind();
     // Open this sample's eventlog record (and point the thread cursor at
     // it) before the pipeline stages below annotate their outcomes.
     if (eventlog) {
       obs::evt::sample(static_cast<std::uint32_t>(node.id().value()), t,
                        position.x, position.y, region_code(kind));
     }
-    const auto association =
-        gateways_.update_association(node.id(), position);
+    const auto association = gateways_.update_association(node.id(), region);
 
     // Ground truth for scoring (not a network message, never lost).
     {
@@ -178,8 +179,7 @@ void MobilityFederate::publish_samples(SimTime t) {
       truth->velocity = velocity;
       truth->sampled_at = t;
       truth->region_kind = kind;
-      send(std::string(kTopicTruth), t + config_.truth_delay,
-           std::move(truth));
+      send(truth_topic_, t + config_.truth_delay, std::move(truth));
     }
 
     // Device-side suppression: the node consults its pushed DTH before
@@ -209,7 +209,7 @@ void MobilityFederate::publish_samples(SimTime t) {
         last_transmission_[node.id().value()] = t;
         ++keepalives_sent_;
         if (channel_delivers(node.id())) {
-          send(std::string(net::kTopicLocationUpdate), t, std::move(beacon));
+          send(lu_topic_, t, std::move(beacon));
         } else {
           ++lus_lost_;
         }
@@ -239,7 +239,7 @@ void MobilityFederate::publish_samples(SimTime t) {
       ++lus_lost_;
       continue;
     }
-    send(std::string(net::kTopicLocationUpdate), t, std::move(lu));
+    send(lu_topic_, t, std::move(lu));
     ++lus_published_;
   }
   // Detach the cursor so later channel draws (job results in run_compute)
@@ -309,12 +309,13 @@ DeviceEnergyReport MobilityFederate::energy_report(Duration duration) const {
 
 FilterFederate::FilterFederate(
     std::unique_ptr<core::LocationUpdateFilter> filter,
-    const geo::CampusMap& campus, Duration bucket_width, bool device_side,
-    double dth_hysteresis, std::size_t shard_index, std::size_t shard_count)
+    const net::GatewayNetwork& gateways, Duration bucket_width,
+    bool device_side, double dth_hysteresis, std::size_t shard_index,
+    std::size_t shard_count)
     : Federate(shard_count > 1 ? "adf." + std::to_string(shard_index) : "adf",
                /*lookahead=*/0.0),
       filter_(std::move(filter)),
-      campus_(campus),
+      gateways_(gateways),
       traffic_(bucket_width),
       accountant_(bucket_width),
       device_side_(device_side),
@@ -339,26 +340,29 @@ FilterFederate::FilterFederate(
 }
 
 void FilterFederate::on_join() {
-  subscribe(std::string(net::kTopicLocationUpdate));
+  lu_topic_ = subscribe(net::kTopicLocationUpdate);
+  filtered_topic_ = topic(net::kTopicFilteredUpdate);
+  dth_topic_ = topic(net::kTopicDthUpdate);
 }
 
 void FilterFederate::receive(const sim::Interaction& interaction) {
-  // Keepalive beacons are liveness control traffic: relayed to the broker
-  // untouched, never filtered, and invisible to the ADF's motion state.
-  // In a sharded deployment exactly one shard relays each beacon.
-  if (const auto* beacon = interaction.payload_as<net::KeepAlive>()) {
+  if (interaction.topic != lu_topic_) return;  // not ours
+  const auto* lu = interaction.payload_as<net::LocationUpdate>();
+  if (lu == nullptr) {
+    // Keepalive beacons are liveness control traffic: relayed to the
+    // broker untouched, never filtered, and invisible to the ADF's motion
+    // state. In a sharded deployment exactly one shard relays each beacon.
+    const auto* beacon = interaction.payload_as<net::KeepAlive>();
+    if (beacon == nullptr) return;
     if (shard_count_ > 1 &&
         beacon->mn.value() % shard_count_ != shard_index_) {
       return;
     }
     accountant_.record(beacon->sent_at, GatewayId{}, net::Direction::kUplink,
                        *beacon);
-    send(std::string(net::kTopicFilteredUpdate), granted_time(),
-         interaction.payload);
+    send(filtered_topic_, granted_time(), interaction.payload);
     return;
   }
-  const auto* lu = interaction.payload_as<net::LocationUpdate>();
-  if (lu == nullptr) return;  // not ours
   // Sharded deployment: only the ADF responsible for the relaying gateway
   // handles this LU.
   if (shard_count_ > 1 && lu->via_gateway.valid() &&
@@ -391,7 +395,7 @@ void FilterFederate::receive(const sim::Interaction& interaction) {
       const net::DthUpdate push(lu->mn, decision.dth);
       accountant_.record(granted_time(), lu->via_gateway,
                          net::Direction::kDownlink, push);
-      send(std::string(net::kTopicDthUpdate), granted_time(),
+      send(dth_topic_, granted_time(),
            sim::make_payload<net::DthUpdate>(push));
       ++dth_updates_published_;
     }
@@ -411,19 +415,20 @@ void FilterFederate::receive(const sim::Interaction& interaction) {
     obs::evt::clear_cursor();
   }
 
-  const std::optional<RegionId> region = campus_.locate(lu->position);
-  const geo::RegionKind kind =
-      campus_
-          .region(region ? *region : campus_.nearest_region(lu->position))
-          .kind();
+  // The relaying gateway covers the region the MN located this sample in
+  // (one gateway per region), so its coverage gives the kind without a
+  // second lookup.
+  const RegionId region =
+      lu->via_gateway.valid() ? gateways_.gateway(lu->via_gateway).coverage
+                              : gateways_.serving_region(lu->position);
+  const geo::RegionKind kind = gateways_.campus().region(region).kind();
   traffic_.record(lu->sampled_at, decision.transmit, kind);
   if (!decision.transmit) accountant_.record_suppressed(lu->sampled_at);
 
   if (decision.transmit) {
     // Forward the LU to the broker, timestamped at the current grant (the
     // ADF cannot send into its own past).
-    send(std::string(net::kTopicFilteredUpdate), granted_time(),
-         interaction.payload);
+    send(filtered_topic_, granted_time(), interaction.payload);
   }
 }
 
@@ -462,9 +467,10 @@ BrokerFederate::BrokerFederate(
 }
 
 void BrokerFederate::on_join() {
-  subscribe(std::string(net::kTopicFilteredUpdate));
-  subscribe(std::string(kTopicTruth));
-  if (jobs_.rate > 0.0) subscribe(std::string(net::kTopicJobResult));
+  filtered_topic_ = subscribe(net::kTopicFilteredUpdate);
+  truth_topic_ = subscribe(kTopicTruth);
+  if (jobs_.rate > 0.0) job_result_topic_ = subscribe(net::kTopicJobResult);
+  job_assign_topic_ = topic(net::kTopicJobAssign);
 }
 
 void BrokerFederate::dispatch(JobId job, SimTime t) {
@@ -478,8 +484,7 @@ void BrokerFederate::dispatch(JobId job, SimTime t) {
     assign->assignee = assignee;
     assign->work_units = tracked.work_units;
     assign->site = tracked.site;
-    send(std::string(net::kTopicJobAssign), granted_time(),
-         std::move(assign));
+    send(job_assign_topic_, granted_time(), std::move(assign));
   }
 }
 
@@ -544,16 +549,18 @@ JobReport BrokerFederate::job_report() const {
 }
 
 void BrokerFederate::receive(const sim::Interaction& interaction) {
-  if (const auto* lu = interaction.payload_as<net::LocationUpdate>()) {
-    broker_.on_location_update(lu->mn, lu->sampled_at, lu->position,
-                               lu->velocity, lu->battery_fraction);
+  if (interaction.topic == filtered_topic_) {
+    if (const auto* lu = interaction.payload_as<net::LocationUpdate>()) {
+      broker_.on_location_update(lu->mn, lu->sampled_at, lu->position,
+                                 lu->velocity, lu->battery_fraction);
+    } else if (const auto* beacon = interaction.payload_as<net::KeepAlive>()) {
+      broker_.on_keepalive(beacon->mn, beacon->sent_at);
+    }
     return;
   }
-  if (const auto* beacon = interaction.payload_as<net::KeepAlive>()) {
-    broker_.on_keepalive(beacon->mn, beacon->sent_at);
-    return;
-  }
-  if (const auto* result = interaction.payload_as<net::JobResult>()) {
+  if (interaction.topic == job_result_topic_) {
+    const auto* result = interaction.payload_as<net::JobResult>();
+    if (result == nullptr) return;
     const auto status = scheduler_.status(result->job);
     if (!status || status->state != broker::JobState::kRunning) {
       return;  // straggler after a timeout — drop
@@ -568,6 +575,7 @@ void BrokerFederate::receive(const sim::Interaction& interaction) {
     }
     return;
   }
+  if (interaction.topic != truth_topic_) return;
   if (const auto* truth = interaction.payload_as<TruthSample>()) {
     if (scoring_ == ScoringMode::kLogical) {
       // Logical accounting: truths are timestamp-delayed to arrive in the
@@ -598,23 +606,27 @@ void BrokerFederate::on_time_grant(SimTime t) {
   // job scheduler would see.
   const bool eventlog = obs::eventlog_enabled();
   for (const BufferedTruth& truth : truths_) {
-    auto it = view_snapshot_.find(truth.mn);
-    if (it == view_snapshot_.end()) continue;  // broker does not know it yet
-    errors_.record(truth.sampled_at, truth.position, it->second, truth.kind);
+    const std::uint32_t slot = view_slots_.find(truth.mn);
+    if (slot == util::MnSlotIndex::kNoSlot) continue;  // not known yet
+    const geo::Vec2 view = views_[slot];
+    errors_.record(truth.sampled_at, truth.position, view, truth.kind);
     if (eventlog) {
       obs::evt::scored(static_cast<std::uint32_t>(truth.mn.value()),
-                       truth.sampled_at, it->second.x, it->second.y,
-                       geo::distance(truth.position, it->second));
+                       truth.sampled_at, view.x, view.y,
+                       geo::distance(truth.position, view));
     }
   }
   truths_.clear();
 
   broker_.on_tick(t);
   if (scoring_ == ScoringMode::kRealTime) {
-    for (MnId mn : broker_.db().known_nodes()) {
-      const std::optional<geo::Vec2> view = broker_.position_view(mn);
-      if (view) view_snapshot_[mn] = *view;
-    }
+    // Tracks are never dropped, so every known MN has a view: copy each
+    // straight from its track into its slot.
+    broker_.db().for_each_track([this](const broker::MnTrack& track) {
+      const std::uint32_t slot = view_slots_.insert(MnId{track.mn()});
+      if (slot == views_.size()) views_.emplace_back();
+      views_[slot] = track.record().current_view.position;
+    });
   }
   if (jobs_.rate > 0.0) run_job_workload(t);
 }

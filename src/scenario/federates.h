@@ -35,6 +35,7 @@
 #include "scenario/metrics.h"
 #include "scenario/workload.h"
 #include "sim/federate.h"
+#include "util/mn_slots.h"
 
 namespace mgrid::scenario {
 
@@ -139,6 +140,13 @@ class MobilityFederate final : public sim::Federate {
   void receive(const sim::Interaction& interaction) override;
   void on_time_grant(SimTime t) override;
 
+  /// One MN-tick for every node: samples its position (one region lookup),
+  /// updates its gateway association and sends its truth and, unless
+  /// suppressed or lost, its LU stamped `t`. on_start() and
+  /// on_time_grant() call it; it is public so its per-MN-tick cost can be
+  /// measured on its own. Only valid while joined, at `t` >= the grant.
+  void publish_samples(SimTime t);
+
   [[nodiscard]] std::uint64_t lus_published() const noexcept {
     return lus_published_;
   }
@@ -172,9 +180,7 @@ class MobilityFederate final : public sim::Federate {
     double remaining_units;
   };
 
-  void publish_samples(SimTime t);
   void run_compute(SimTime t);
-  [[nodiscard]] geo::RegionKind kind_at(geo::Vec2 p) const;
   [[nodiscard]] bool channel_delivers(MnId mn);
 
   Workload& workload_;
@@ -196,12 +202,19 @@ class MobilityFederate final : public sim::Federate {
   std::uint64_t lus_lost_ = 0;
   std::uint64_t lus_dropped_battery_ = 0;
   std::uint64_t keepalives_sent_ = 0;
+  sim::TopicId truth_topic_;
+  sim::TopicId lu_topic_;
+  sim::TopicId job_result_topic_;
+  sim::TopicId dth_topic_;
+  sim::TopicId job_assign_topic_;
 };
 
 class FilterFederate final : public sim::Federate {
  public:
-  /// Takes ownership of the filtering policy. `campus` must outlive the
-  /// federate; `bucket_width` sizes the Fig. 4 series buckets.
+  /// Takes ownership of the filtering policy. `gateways` (and its campus)
+  /// must outlive the federate: an LU's region kind is its relaying
+  /// gateway's coverage region. `bucket_width` sizes the Fig. 4 series
+  /// buckets.
   ///
   /// `device_side` true switches the ADF box from filtering to DTH
   /// publication: every received LU is forwarded (the device already
@@ -215,7 +228,8 @@ class FilterFederate final : public sim::Federate {
   /// own classifier/clusterer — a node crossing shards is re-learned by
   /// the new shard, which is the realistic handover cost.
   FilterFederate(std::unique_ptr<core::LocationUpdateFilter> filter,
-                 const geo::CampusMap& campus, Duration bucket_width = 1.0,
+                 const net::GatewayNetwork& gateways,
+                 Duration bucket_width = 1.0,
                  bool device_side = false, double dth_hysteresis = 0.1,
                  std::size_t shard_index = 0, std::size_t shard_count = 1);
 
@@ -243,7 +257,7 @@ class FilterFederate final : public sim::Federate {
  private:
   std::unique_ptr<core::LocationUpdateFilter> filter_;
   core::AdaptiveDistanceFilter* adf_ = nullptr;  // set in device-side mode
-  const geo::CampusMap& campus_;
+  const net::GatewayNetwork& gateways_;
   TrafficMetrics traffic_;
   net::TrafficAccountant accountant_;
   bool device_side_;
@@ -252,6 +266,9 @@ class FilterFederate final : public sim::Federate {
   std::size_t shard_count_;
   std::unordered_map<MnId, double> pushed_dth_;
   std::uint64_t dth_updates_published_ = 0;
+  sim::TopicId lu_topic_;
+  sim::TopicId filtered_topic_;
+  sim::TopicId dth_topic_;
 };
 
 class BrokerFederate final : public sim::Federate {
@@ -302,7 +319,10 @@ class BrokerFederate final : public sim::Federate {
   ErrorMetrics errors_;
   ScoringMode scoring_;
   std::vector<BufferedTruth> truths_;
-  std::unordered_map<MnId, geo::Vec2> view_snapshot_;
+  // Real-time scoring: every known MN's view at the end of the last grant,
+  // by slot.
+  util::MnSlotIndex view_slots_;
+  std::vector<geo::Vec2> views_;
 
   JobWorkloadConfig jobs_;
   const geo::CampusMap* campus_;
@@ -314,6 +334,10 @@ class BrokerFederate final : public sim::Federate {
   std::uint64_t jobs_completed_ = 0;
   std::uint64_t jobs_timed_out_ = 0;
   stats::RunningStats completion_time_;
+  sim::TopicId filtered_topic_;
+  sim::TopicId truth_topic_;
+  sim::TopicId job_result_topic_;
+  sim::TopicId job_assign_topic_;
 };
 
 }  // namespace mgrid::scenario

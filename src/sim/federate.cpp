@@ -20,13 +20,17 @@ Federation& Federate::federation() const {
   return *federation_;
 }
 
-void Federate::send(std::string topic, SimTime timestamp,
+void Federate::send(TopicId topic, SimTime timestamp,
                     std::shared_ptr<const InteractionPayload> payload) {
-  federation().submit(*this, std::move(topic), timestamp, std::move(payload));
+  federation().submit(*this, topic, timestamp, std::move(payload));
 }
 
-void Federate::subscribe(std::string topic) {
-  federation().subscribe(*this, std::move(topic));
+TopicId Federate::subscribe(std::string_view topic) {
+  return federation().subscribe(*this, topic);
+}
+
+TopicId Federate::topic(std::string_view name) const {
+  return federation().topic(name);
 }
 
 SimTime Federate::granted_time() const { return federation().current_grant_; }

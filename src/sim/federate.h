@@ -2,7 +2,8 @@
 // federation (HLA-lite).
 //
 // Lifecycle per run:
-//   on_join      — subscribe to interaction topics
+//   on_join      — subscribe to interaction topics and resolve the ids of
+//                  the topics it sends on
 //   on_start(t0) — initialise state at simulation start
 //   [per grant cycle]
 //     receive(i)        — all due interactions, in total delivery order
@@ -51,12 +52,17 @@ class Federate {
  protected:
   /// Publishes an interaction. Only valid inside federation callbacks.
   /// Throws std::logic_error when not joined or when `timestamp` violates
-  /// the lookahead constraint.
-  void send(std::string topic, SimTime timestamp,
+  /// the lookahead constraint, std::invalid_argument for an invalid topic.
+  void send(TopicId topic, SimTime timestamp,
             std::shared_ptr<const InteractionPayload> payload);
 
-  /// Subscribes this federate to a topic (call from on_join()).
-  void subscribe(std::string topic);
+  /// Subscribes this federate to a topic (call from on_join()) and returns
+  /// the topic's id.
+  TopicId subscribe(std::string_view topic);
+
+  /// Id of a topic this federate sends on (Federation::topic); resolve it
+  /// in on_join() and keep it.
+  [[nodiscard]] TopicId topic(std::string_view name) const;
 
   /// The federation's current grant time (t0 before the first grant).
   /// Valid inside receive()/on_time_grant() callbacks.

@@ -1,6 +1,7 @@
 #include "sim/federation.h"
 
 #include <algorithm>
+#include <atomic>
 #include <barrier>
 #include <chrono>
 #include <cmath>
@@ -72,7 +73,8 @@ FederateId Federation::join(std::shared_ptr<Federate> federate) {
   const FederateId id{static_cast<FederateId::value_type>(federates_.size())};
   federate->id_ = id;
   federate->federation_ = this;
-  FederateSlot slot{federate, {}, 0, {}, {}};
+  FederateSlot slot;
+  slot.federate = federate;
   slot.step_seconds = obs::current_registry().histogram(
       "mgrid_federation_step_seconds", 0.0, 0.1, 50,
       {{"federate", federate->name()}},
@@ -102,8 +104,21 @@ SimTime Federation::lbts() const noexcept {
   return current_grant_ + min_lookahead;
 }
 
-void Federation::submit(Federate& sender, std::string topic, SimTime timestamp,
+TopicId Federation::topic(std::string_view name) {
+  std::lock_guard lock(topics_mutex_);
+  const auto it = topic_ids_.find(name);
+  if (it != topic_ids_.end()) return it->second;
+  const TopicId id{static_cast<TopicId::value_type>(topic_ids_.size())};
+  topic_ids_.emplace(std::string(name), id);
+  return id;
+}
+
+void Federation::submit(Federate& sender, TopicId topic, SimTime timestamp,
                         std::shared_ptr<const InteractionPayload> payload) {
+  if (!topic.valid()) {
+    throw std::invalid_argument("Federate '" + sender.name() +
+                                "' sent on an invalid topic");
+  }
   // Time regulation: a federate at grant t may not send below t + lookahead.
   const SimTime floor = current_grant_ + sender.lookahead();
   if (timestamp < floor) {
@@ -111,55 +126,73 @@ void Federation::submit(Federate& sender, std::string topic, SimTime timestamp,
         "Federate '" + sender.name() + "' violated lookahead: timestamp " +
         std::to_string(timestamp) + " < " + std::to_string(floor));
   }
-  Interaction interaction;
-  interaction.topic = std::move(topic);
-  interaction.timestamp = timestamp;
-  interaction.sender = sender.id();
-  interaction.payload = std::move(payload);
-  {
-    std::lock_guard lock(staged_mutex_);
-    interaction.sequence = federates_[sender.id().value()].send_sequence++;
-    staged_.push_back(std::move(interaction));
-    ++stats_.interactions_sent;
-  }
-  if (obs::enabled()) federation_metrics().sent.inc();
+  FederateSlot& slot = federates_[sender.id().value()];
+  slot.outbox.push_back(Interaction{topic, sender.id(), timestamp,
+                                    slot.send_sequence++, std::move(payload)});
 }
 
-void Federation::subscribe(Federate& subscriber, std::string topic) {
+TopicId Federation::subscribe(Federate& subscriber, std::string_view name) {
   if (running_) {
     throw std::logic_error("Federation::subscribe: federation is running");
   }
-  auto& subs = subscriptions_[topic];
-  const FederateId id = subscriber.id();
-  if (std::find(subs.begin(), subs.end(), id) == subs.end()) {
-    subs.push_back(id);
-    federates_[id.value()].topics.push_back(std::move(topic));
+  const TopicId id = topic(name);
+  if (subscribers_.size() <= id.value()) subscribers_.resize(id.value() + 1);
+  std::vector<FederateId>& subs = subscribers_[id.value()];
+  if (std::find(subs.begin(), subs.end(), subscriber.id()) == subs.end()) {
+    subs.push_back(subscriber.id());
   }
+  return id;
 }
 
 void Federation::merge_staged() {
-  std::lock_guard lock(staged_mutex_);
-  if (staged_.empty()) return;
-  pending_.insert(pending_.end(), std::make_move_iterator(staged_.begin()),
-                  std::make_move_iterator(staged_.end()));
-  staged_.clear();
-  std::sort(pending_.begin(), pending_.end(), InteractionOrder{});
+  pending_.erase(pending_.begin(),
+                 pending_.begin() + static_cast<std::ptrdiff_t>(due_));
+  due_ = 0;
+  // Outboxes in federate order are the batch in (sender, sequence) order.
+  const std::size_t kept = pending_.size();
+  for (FederateSlot& slot : federates_) {
+    pending_.insert(pending_.end(),
+                    std::make_move_iterator(slot.outbox.begin()),
+                    std::make_move_iterator(slot.outbox.end()));
+    slot.outbox.clear();
+  }
+  const std::size_t sent = pending_.size() - kept;
+  if (sent == 0) return;
+  stats_.interactions_sent += sent;
+  if (obs::enabled()) federation_metrics().sent.inc(sent);
+
+  // A stable sort by timestamp alone completes InteractionOrder within the
+  // batch; most cycles send at one timestamp and skip it.
+  const auto batch = pending_.begin() + static_cast<std::ptrdiff_t>(kept);
+  const auto by_timestamp = [](const Interaction& a, const Interaction& b) {
+    return a.timestamp < b.timestamp;
+  };
+  if (!std::is_sorted(batch, pending_.end(), by_timestamp)) {
+    std::stable_sort(batch, pending_.end(), by_timestamp);
+  }
+  if (kept > 0 && InteractionOrder{}(*batch, *(batch - 1))) {
+    std::inplace_merge(pending_.begin(), batch, pending_.end(),
+                       InteractionOrder{});
+  }
   stats_.max_pending = std::max(stats_.max_pending, pending_.size());
 }
 
 void Federation::prepare_inboxes(SimTime grant) {
-  // pending_ is sorted; find the prefix due at this grant.
-  auto due_end = std::find_if(
+  // pending_ is sorted; its prefix due at this grant is delivered in place
+  // and dropped by the next merge_staged().
+  for (FederateSlot& slot : federates_) slot.inbox.clear();
+  const auto due_end = std::find_if(
       pending_.begin(), pending_.end(),
       [grant](const Interaction& i) { return i.timestamp > grant; });
-  for (auto it = pending_.begin(); it != due_end; ++it) {
-    auto subs = subscriptions_.find(it->topic);
-    if (subs == subscriptions_.end()) continue;
-    for (FederateId id : subs->second) {
-      federates_[id.value()].inbox.push_back(*it);
+  due_ = static_cast<std::size_t>(due_end - pending_.begin());
+  for (std::size_t k = 0; k < due_; ++k) {
+    const Interaction& interaction = pending_[k];
+    const TopicId::value_type topic = interaction.topic.value();
+    if (topic >= subscribers_.size()) continue;
+    for (FederateId id : subscribers_[topic]) {
+      federates_[id.value()].inbox.push_back(&interaction);
     }
   }
-  pending_.erase(pending_.begin(), due_end);
 }
 
 void Federation::run_cycle_for(FederateSlot& slot, SimTime grant,
@@ -172,8 +205,8 @@ void Federation::run_cycle_for(FederateSlot& slot, SimTime grant,
   const std::uint64_t trace_start = tracing ? tracer.now_us() : 0;
   const auto start = instrumented ? std::chrono::steady_clock::now()
                                   : std::chrono::steady_clock::time_point{};
-  for (const Interaction& interaction : slot.inbox) {
-    slot.federate->receive(interaction);
+  for (const Interaction* interaction : slot.inbox) {
+    slot.federate->receive(*interaction);
   }
   *delivered_out += slot.inbox.size();
   if (instrumented) {
@@ -222,6 +255,7 @@ void Federation::run(SimTime t0, SimTime end, Duration step,
   }
 
   for (FederateSlot& slot : federates_) slot.federate->on_stop(current_grant_);
+  merge_staged();  // counts (and queues) what on_stop() sent
   util::log_debug("federation: run complete, ",
                   stats_.interactions_delivered, " interactions delivered");
   running_ = false;

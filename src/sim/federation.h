@@ -10,19 +10,26 @@
 // check this implements a conservative LBTS: no federate ever observes a
 // message "from the past".
 //
+// Transport: topic names are interned to dense TopicIds once, so routing is
+// a vector index. Each federate stages its sends in its own outbox; after a
+// cycle the outboxes are concatenated in federate order — already
+// (sender, sequence) order — stable-sorted by timestamp only when that batch
+// is out of order, and merged into the pending queue. Inboxes hold pointers
+// into the queue's due prefix, which is dropped once the cycle is over.
+//
 // Two executors produce bit-identical results:
 //   kSequential — single thread, federates ticked in join order.
 //   kThreaded   — one worker per federate, barrier-synchronised per cycle;
-//                 outgoing interactions are staged through a mutex and
-//                 re-sorted into total order before the next delivery.
+//                 a worker writes only its own federate's outbox, so
+//                 staging needs no lock.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -57,6 +64,10 @@ class Federation {
   }
   [[nodiscard]] const Federate& federate(FederateId id) const;
 
+  /// Interns a topic name: the same name always gives the same id. Safe to
+  /// call from federate callbacks under either executor.
+  [[nodiscard]] TopicId topic(std::string_view name);
+
   /// Lower Bound Time Stamp: smallest timestamp any federate could still
   /// send, i.e. current grant + min lookahead. Before the run starts this is
   /// t0 + min lookahead.
@@ -77,20 +88,25 @@ class Federation {
 
   struct FederateSlot {
     std::shared_ptr<Federate> federate;
-    std::vector<std::string> topics;
+    /// Interactions this federate sent since the last merge, in sequence
+    /// order.
+    std::vector<Interaction> outbox;
     std::uint64_t send_sequence = 0;
-    std::vector<Interaction> inbox;  // due interactions for this cycle
+    /// Due interactions for this cycle: pointers into pending_'s due prefix.
+    std::vector<const Interaction*> inbox;
     /// Wall-clock seconds per cycle (deliver + tick), labelled by federate.
     obs::HistogramMetric step_seconds;
   };
 
-  /// Called by Federate::send(); thread-safe.
-  void submit(Federate& sender, std::string topic, SimTime timestamp,
+  /// Called by Federate::send(); a federate only ever writes its own
+  /// outbox, so concurrent senders under kThreaded do not contend.
+  void submit(Federate& sender, TopicId topic, SimTime timestamp,
               std::shared_ptr<const InteractionPayload> payload);
   /// Called by Federate::subscribe().
-  void subscribe(Federate& subscriber, std::string topic);
+  TopicId subscribe(Federate& subscriber, std::string_view topic);
 
-  /// Moves staged interactions into the pending queue (keeps total order).
+  /// Drops the prefix delivered by the last prepare_inboxes() and moves
+  /// every outbox into the pending queue (keeps total order).
   void merge_staged();
   /// Fills every subscriber's inbox with interactions due at `grant`.
   void prepare_inboxes(SimTime grant);
@@ -104,14 +120,18 @@ class Federation {
   void run_threaded(SimTime t0, std::uint64_t cycles, Duration step);
 
   std::vector<FederateSlot> federates_;
-  std::unordered_map<std::string, std::vector<FederateId>> subscriptions_;
 
-  // Interactions ordered for delivery (sorted by InteractionOrder).
+  // Interned topic names (guarded by topics_mutex_: a federate may intern
+  // from a worker thread) and, by TopicId, each topic's subscribers. Topics
+  // interned after the last subscribe() have no entry in subscribers_.
+  std::mutex topics_mutex_;
+  std::map<std::string, TopicId, std::less<>> topic_ids_;
+  std::vector<std::vector<FederateId>> subscribers_;
+
+  // Interactions ordered for delivery (sorted by InteractionOrder); the
+  // first due_ of them are being delivered this cycle.
   std::vector<Interaction> pending_;
-  // Interactions sent during the current cycle (unsorted; mutex-guarded for
-  // the threaded executor).
-  std::vector<Interaction> staged_;
-  std::mutex staged_mutex_;
+  std::size_t due_ = 0;
 
   SimTime current_grant_ = 0.0;
   bool running_ = false;

@@ -105,7 +105,8 @@ class ObjectPublisher {
                                     std::shared_ptr<const InteractionPayload>)>;
 
   /// `self` is the owning federate's id (used to mint federation-unique
-  /// instance ids); `send` must forward to Federate::send.
+  /// instance ids); `send` must forward to Federate::send, interning the
+  /// topic name through Federate::topic().
   ObjectPublisher(FederateId self, SendFn send);
 
   /// Registers an instance; emits a kDiscover event at `timestamp`.

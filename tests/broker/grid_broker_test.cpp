@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <vector>
+
 #include "estimation/estimator.h"
 
 namespace mgrid::broker {
@@ -61,6 +64,31 @@ TEST(GridBroker, StalenessComesFromReceivedFixes) {
   broker.on_location_update(MnId{1}, 2.0, {0, 0}, {});
   broker.on_tick(7.0);
   EXPECT_EQ(broker.staleness(MnId{1}, 7.0), 5.0);  // estimates don't refresh
+}
+
+TEST(GridBroker, ContactsAnySetOfIdsInAnyOrder) {
+  // First contacts in scrambled id order, one id far past the dense range
+  // and one node heard only through keepalives.
+  GridBroker broker;
+  const MnId sparse{0xFFFFFF00u};
+  broker.on_location_update(MnId{9}, 1.0, {0, 0}, {}, 0.5);
+  broker.on_keepalive(sparse, 2.0);
+  broker.on_location_update(MnId{3}, 3.0, {0, 0}, {}, 0.25);
+  broker.on_keepalive(MnId{7}, 4.0);
+  broker.on_location_update(MnId{9}, 5.0, {0, 0}, {}, 0.75);
+
+  EXPECT_EQ(broker.battery_fraction(MnId{9}), 0.75);
+  EXPECT_EQ(broker.battery_fraction(MnId{3}), 0.25);
+  EXPECT_EQ(broker.battery_fraction(MnId{7}), 1.0);  // no LU yet
+  EXPECT_EQ(broker.battery_fraction(sparse), 1.0);
+  EXPECT_EQ(broker.battery_fraction(MnId{4}), 1.0);  // never heard
+  EXPECT_EQ(broker.contact_staleness(sparse, 10.0), 8.0);
+  EXPECT_TRUE(std::isinf(broker.contact_staleness(MnId{4}, 10.0)));
+
+  EXPECT_EQ(broker.silent_nodes(10.0, 5.5),
+            (std::vector<MnId>{MnId{3}, MnId{7}, sparse}));
+  EXPECT_EQ(broker.silent_nodes(10.0, 0.0),
+            (std::vector<MnId>{MnId{3}, MnId{7}, MnId{9}, sparse}));
 }
 
 }  // namespace

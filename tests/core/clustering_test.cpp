@@ -4,6 +4,9 @@
 
 #include <bit>
 #include <cstdint>
+#include <limits>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "util/rng.h"
@@ -257,6 +260,137 @@ TEST(Clustering, RebuildOrderIsByMnIdNotArrival) {
   EXPECT_FALSE(forward.remove(MnId{0xFFFFFFFEu}));
   EXPECT_FALSE(forward.remove(MnId{12345}));
   EXPECT_EQ(forward.member_count(), ids.size() - 1);
+}
+
+/// The BSAS assignment with the full scan over every cluster slot ever
+/// created, retired ones skipped one by one until a rebuild: the reference
+/// the live-cluster scan must reproduce bit for bit.
+class FullScanClusterer {
+ public:
+  explicit FullScanClusterer(ClusteringParams params) : params_(params) {}
+
+  ClusterId assign(MnId mn, const MotionFeatures& features) {
+    const ClusterFeature f =
+        ClusterFeature::from_motion(features, params_.direction_weight);
+    remove(mn);
+    std::size_t best = kNone;
+    double best_d = std::numeric_limits<double>::infinity();
+    for (std::size_t i = 0; i < clusters_.size(); ++i) {
+      if (clusters_[i].size == 0) continue;
+      const double d = f.distance_to(clusters_[i].centroid);
+      if (d < best_d) {
+        best_d = d;
+        best = i;
+      }
+    }
+    std::size_t live = 0;
+    for (const Cluster& c : clusters_) live += c.size > 0 ? 1 : 0;
+    const bool cap_reached =
+        params_.max_clusters != 0 && live >= params_.max_clusters;
+    if (best == kNone || (best_d > params_.alpha && !cap_reached)) {
+      best = clusters_.size();
+      clusters_.emplace_back();
+    }
+    Cluster& c = clusters_[best];
+    c.sum_speed += f.speed;
+    c.sum_dir_x += f.dir_x;
+    c.sum_dir_y += f.dir_y;
+    ++c.size;
+    refresh(c);
+    members_[mn.value()] = {best, f};
+    return ClusterId{static_cast<ClusterId::value_type>(best)};
+  }
+
+  void remove(MnId mn) {
+    const auto it = members_.find(mn.value());
+    if (it == members_.end()) return;
+    Cluster& c = clusters_[it->second.first];
+    const ClusterFeature& f = it->second.second;
+    c.sum_speed -= f.speed;
+    c.sum_dir_x -= f.dir_x;
+    c.sum_dir_y -= f.dir_y;
+    --c.size;
+    refresh(c);
+    members_.erase(it);
+  }
+
+  /// Live clusters as (id, size, centroid), ascending id.
+  [[nodiscard]] std::vector<ClusterInfo> clusters() const {
+    std::vector<ClusterInfo> out;
+    for (std::size_t i = 0; i < clusters_.size(); ++i) {
+      if (clusters_[i].size == 0) continue;
+      out.push_back({ClusterId{static_cast<ClusterId::value_type>(i)},
+                     clusters_[i].centroid, clusters_[i].size});
+    }
+    return out;
+  }
+
+ private:
+  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  struct Cluster {
+    ClusterFeature centroid;
+    std::size_t size = 0;
+    double sum_speed = 0.0;
+    double sum_dir_x = 0.0;
+    double sum_dir_y = 0.0;
+  };
+  static void refresh(Cluster& c) {
+    if (c.size == 0) return;
+    const double n = static_cast<double>(c.size);
+    c.centroid = {c.sum_speed / n, c.sum_dir_x / n, c.sum_dir_y / n};
+  }
+
+  ClusteringParams params_;
+  std::vector<Cluster> clusters_;
+  std::map<std::uint32_t, std::pair<std::size_t, ClusterFeature>> members_;
+};
+
+TEST(Clustering, LiveScanMatchesFullScanOverRandomChurn) {
+  // Coarse speeds and headings make equal distances (ties) common; a small
+  // population re-assigned at random retires and creates clusters all the
+  // time, with no rebuild to compact the retired slots.
+  for (const std::size_t cap : {std::size_t{0}, std::size_t{3}}) {
+    ClusteringParams params;
+    params.alpha = 0.6;
+    params.max_clusters = cap;
+    SequentialClusterer clusterer(params);
+    FullScanClusterer reference(params);
+    util::RngStream rng(17 + cap);
+    for (int step = 0; step < 20000; ++step) {
+      const MnId mn{static_cast<MnId::value_type>(rng.index(12))};
+      if (rng.chance(0.2)) {
+        clusterer.remove(mn);
+        reference.remove(mn);
+        continue;
+      }
+      const MotionFeatures f =
+          features_of(0.5 * static_cast<double>(rng.index(8)),
+                      0.25 * 3.14159 * static_cast<double>(rng.index(8)));
+      ASSERT_EQ(clusterer.assign(mn, f), reference.assign(mn, f))
+          << "step " << step;
+    }
+    const std::vector<ClusterInfo> got = clusterer.clusters();
+    const std::vector<ClusterInfo> want = reference.clusters();
+    ASSERT_EQ(got.size(), want.size());
+    EXPECT_EQ(clusterer.cluster_count(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].id, want[i].id);
+      EXPECT_EQ(got[i].size, want[i].size);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i].centroid.speed),
+                std::bit_cast<std::uint64_t>(want[i].centroid.speed));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i].centroid.dir_x),
+                std::bit_cast<std::uint64_t>(want[i].centroid.dir_x));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i].centroid.dir_y),
+                std::bit_cast<std::uint64_t>(want[i].centroid.dir_y));
+    }
+    // A rebuild compacts the ids and keeps the live list consistent.
+    clusterer.rebuild();
+    const std::vector<ClusterInfo> rebuilt = clusterer.clusters();
+    EXPECT_EQ(clusterer.cluster_count(), rebuilt.size());
+    for (const ClusterInfo& info : rebuilt) {
+      EXPECT_EQ(clusterer.cluster(info.id).size, info.size);
+    }
+  }
 }
 
 TEST(ClusterFeature, DistanceIsEuclideanInEmbeddedSpace) {

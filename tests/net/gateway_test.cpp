@@ -56,14 +56,14 @@ TEST_F(GatewayTest, AssociationAndHandover) {
   ASSERT_NE(b2, nullptr);
 
   EXPECT_FALSE(network_.association(mn).has_value());
-  auto first = network_.update_association(mn, b1->representative_point());
+  auto first = network_.update_association(mn, b1->id());
   EXPECT_FALSE(first.handover);  // first association is not a handover
   EXPECT_EQ(network_.handover_count(), 0u);
 
-  auto same = network_.update_association(mn, b1->representative_point());
+  auto same = network_.update_association(mn, b1->id());
   EXPECT_FALSE(same.handover);
 
-  auto moved = network_.update_association(mn, b2->representative_point());
+  auto moved = network_.update_association(mn, b2->id());
   EXPECT_TRUE(moved.handover);
   EXPECT_NE(moved.gateway, first.gateway);
   EXPECT_EQ(network_.handover_count(), 1u);
@@ -75,8 +75,8 @@ TEST_F(GatewayTest, LoadCountsAssociatedNodes) {
   ASSERT_NE(b3, nullptr);
   const GatewayId gw = network_.gateway_for_region(b3->id());
   EXPECT_EQ(network_.load(gw), 0u);
-  network_.update_association(MnId{1}, b3->representative_point());
-  network_.update_association(MnId{2}, b3->representative_point());
+  network_.update_association(MnId{1}, b3->id());
+  network_.update_association(MnId{2}, b3->id());
   EXPECT_EQ(network_.load(gw), 2u);
 }
 

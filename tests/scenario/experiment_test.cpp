@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "scenario/result_io.h"
+
 namespace mgrid::scenario {
 namespace {
 
@@ -116,6 +118,45 @@ TEST(Experiment, ThreadedExecutorMatchesSequential) {
   EXPECT_EQ(a.total_transmitted, b.total_transmitted);
   EXPECT_EQ(a.lu_per_bucket, b.lu_per_bucket);
   EXPECT_DOUBLE_EQ(a.rmse_overall, b.rmse_overall);
+}
+
+TEST(Experiment, ThreadedMatchesSequentialOnEveryTopic) {
+  // Every interaction topic in flight at once: logical scoring delays the
+  // truths (so merged batches are out of timestamp order), the job
+  // workload sends assignments and results, device-side filtering pushes
+  // DTHs down and suppresses LUs, suppressed nodes send keepalives, and two
+  // ADF shards relay. Both executors must agree on every result field.
+  ExperimentOptions sequential;
+  sequential.duration = 150.0;
+  sequential.seed = 11;
+  sequential.campus_blocks = 3;
+  sequential.scoring = ScoringMode::kLogical;
+  sequential.jobs.rate = 0.5;
+  sequential.jobs.timeout = 30.0;
+  sequential.device_side_filtering = true;
+  sequential.keepalive_interval = 10.0;
+  sequential.adf_shards = 2;
+  ExperimentOptions threaded = sequential;
+  threaded.mode = sim::ExecutionMode::kThreaded;
+  const ExperimentResult a = run_experiment(sequential);
+  const ExperimentResult b = run_experiment(threaded);
+
+  EXPECT_GT(a.jobs.submitted, 0u);
+  EXPECT_GT(a.jobs.completed, 0u);
+  EXPECT_GT(a.dth_downlink_messages, 0u);
+  EXPECT_GT(a.energy.lus_suppressed_on_device, 0u);
+  EXPECT_GT(a.keepalives_received, 0u);
+  EXPECT_GT(a.total_transmitted, 0u);
+
+  // The JSON export carries every reported field, doubles in round-trip
+  // precision; the federation counters it leaves out are checked directly.
+  EXPECT_EQ(to_json(sequential, a), to_json(sequential, b));
+  EXPECT_EQ(a.federation_stats.interactions_sent,
+            b.federation_stats.interactions_sent);
+  EXPECT_EQ(a.federation_stats.interactions_delivered,
+            b.federation_stats.interactions_delivered);
+  EXPECT_EQ(a.federation_stats.max_pending, b.federation_stats.max_pending);
+  EXPECT_EQ(a.federation_stats.cycles, b.federation_stats.cycles);
 }
 
 TEST(Experiment, LossyChannelDropsLus) {

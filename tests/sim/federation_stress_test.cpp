@@ -33,7 +33,8 @@ class ChattyFederate final : public Federate {
         subscriptions_(std::move(subscriptions)) {}
 
   void on_join() override {
-    for (const std::string& topic : subscriptions_) subscribe(topic);
+    for (const std::string& name : subscriptions_) subscribe(name);
+    for (const std::string& name : topics_) topic_ids_.push_back(topic(name));
   }
 
   void receive(const Interaction& interaction) override {
@@ -52,7 +53,7 @@ class ChattyFederate final : public Federate {
     last_grant_ = t;
     const int burst = static_cast<int>(rng_.uniform_int(0, 4));
     for (int i = 0; i < burst; ++i) {
-      const std::string& topic = topics_[rng_.index(topics_.size())];
+      const TopicId topic = topic_ids_[rng_.index(topic_ids_.size())];
       const double offset = rng_.uniform(0.0, 3.0);
       send(topic, t + lookahead() + offset,
            make_payload<StressPayload>(index_, sent_count_));
@@ -63,6 +64,7 @@ class ChattyFederate final : public Federate {
   int index_;
   util::RngStream rng_;
   std::vector<std::string> topics_;
+  std::vector<TopicId> topic_ids_;
   std::vector<std::string> subscriptions_;
   std::uint64_t sent_count_ = 0;
   std::uint64_t received_count_ = 0;

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cmath>
 #include <memory>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 namespace mgrid::sim {
@@ -20,12 +25,14 @@ class Producer final : public Federate {
   Producer(std::string name, int base, Duration lookahead = 0.0)
       : Federate(std::move(name), lookahead), base_(base) {}
 
+  void on_join() override { numbers_ = topic("numbers"); }
   void on_time_grant(SimTime t) override {
-    send("numbers", t + lookahead(), make_payload<IntPayload>(base_++));
+    send(numbers_, t + lookahead(), make_payload<IntPayload>(base_++));
   }
 
  private:
   int base_;
+  TopicId numbers_;
 };
 
 /// Records everything it receives.
@@ -118,7 +125,7 @@ TEST(Federation, LookaheadViolationThrows) {
    public:
     Violator() : Federate("violator", /*lookahead=*/2.0) {}
     void on_time_grant(SimTime t) override {
-      send("x", t + 1.0, make_payload<IntPayload>(0));  // < t + lookahead
+      send(topic("x"), t + 1.0, make_payload<IntPayload>(0));  // < t + 2
     }
   };
   Federation federation;
@@ -234,11 +241,193 @@ TEST(Federation, ZeroCycleRunOnlyStartsAndStops) {
   EXPECT_TRUE(recorder->grants_.empty());
 }
 
+TEST(Federation, TopicsInternOnce) {
+  Federation federation;
+  const TopicId numbers = federation.topic("numbers");
+  EXPECT_TRUE(numbers.valid());
+  EXPECT_EQ(federation.topic("numbers"), numbers);
+  EXPECT_NE(federation.topic("other"), numbers);
+
+  // subscribe() and topic() hand a federate the same id for one name.
+  class Resolver final : public Federate {
+   public:
+    Resolver() : Federate("resolver") {}
+    void on_join() override {
+      subscribed_ = subscribe("numbers");
+      resolved_ = topic("numbers");
+      send_only_ = topic("alarm");
+    }
+    TopicId subscribed_, resolved_, send_only_;
+  };
+  auto resolver = std::make_shared<Resolver>();
+  federation.join(resolver);
+  EXPECT_EQ(resolver->subscribed_, numbers);
+  EXPECT_EQ(resolver->resolved_, numbers);
+  EXPECT_EQ(resolver->send_only_, federation.topic("alarm"));
+}
+
+TEST(Federation, UnsubscribedTopicIsCountedButNeverDelivered) {
+  class Shouter final : public Federate {
+   public:
+    Shouter() : Federate("shouter") {}
+    void on_join() override { void_ = topic("void"); }
+    void on_time_grant(SimTime t) override {
+      send(void_, t, make_payload<IntPayload>(1));
+    }
+    TopicId void_;
+  };
+  Federation federation;
+  federation.join(std::make_shared<Shouter>());
+  auto recorder = std::make_shared<Recorder>();
+  federation.join(recorder);
+  federation.run(0.0, 4.0, 1.0);
+  EXPECT_EQ(federation.stats().interactions_sent, 4u);
+  EXPECT_EQ(federation.stats().interactions_delivered, 0u);
+  EXPECT_TRUE(recorder->received_.empty());
+}
+
+TEST(Federation, SendOnAnInvalidTopicThrows) {
+  class Careless final : public Federate {
+   public:
+    Careless() : Federate("careless") {}
+    void on_time_grant(SimTime t) override {
+      send(TopicId{}, t, make_payload<IntPayload>(0));
+    }
+  };
+  Federation federation;
+  federation.join(std::make_shared<Careless>());
+  EXPECT_THROW(federation.run(0.0, 1.0, 1.0), std::invalid_argument);
+}
+
+TEST(Interaction, PayloadAsMatchesTheExactTypeOnly) {
+  struct OtherPayload final : InteractionPayload {};
+  Interaction interaction;
+  EXPECT_EQ(interaction.payload_as<IntPayload>(), nullptr);  // no payload
+  interaction.payload = make_payload<IntPayload>(7);
+  ASSERT_NE(interaction.payload_as<IntPayload>(), nullptr);
+  EXPECT_EQ(interaction.payload_as<IntPayload>()->value, 7);
+  EXPECT_EQ(interaction.payload_as<OtherPayload>(), nullptr);
+}
+
+TEST(Federation, LookaheadViolationThrowsUnderBothExecutors) {
+  class Violator final : public Federate {
+   public:
+    Violator() : Federate("violator", /*lookahead=*/1.0) {}
+    void on_time_grant(SimTime t) override {
+      send(topic("x"), t + 0.5, make_payload<IntPayload>(0));  // < t + 1
+    }
+  };
+  for (const ExecutionMode mode :
+       {ExecutionMode::kSequential, ExecutionMode::kThreaded}) {
+    Federation federation;
+    federation.join(std::make_shared<Violator>());
+    federation.join(std::make_shared<Recorder>());
+    EXPECT_THROW(federation.run(0.0, 3.0, 1.0, mode), std::logic_error);
+  }
+}
+
+// Sends every grant a burst whose timestamps run backwards and interleave
+// with the other scrambler's, so each merged batch is out of timestamp
+// order and must be sorted and merged with leftovers from earlier cycles.
+// The batch (48 interactions) is long enough that an unstable sort would
+// reorder equal timestamps.
+constexpr std::array<double, 6> kScrambledOffsets{3.0, 0.0, 2.5,
+                                                  1.0, 0.0, 2.0};
+constexpr int kScrambledRounds = 4;
+
+class Scrambler final : public Federate {
+ public:
+  Scrambler(std::string name, int base)
+      : Federate(std::move(name)), base_(base) {}
+  void on_join() override { numbers_ = topic("numbers"); }
+  void on_time_grant(SimTime t) override {
+    for (int round = 0; round < kScrambledRounds; ++round) {
+      for (const double offset : kScrambledOffsets) {
+        send(numbers_, t + offset, make_payload<IntPayload>(base_++));
+      }
+    }
+  }
+
+ private:
+  int base_;
+  TopicId numbers_;
+};
+
+TEST(Federation, OutOfOrderSendsDeliverIdenticallyUnderBothExecutors) {
+  using Log = std::vector<std::tuple<double, unsigned, std::uint64_t, int>>;
+  auto run_once = [](ExecutionMode mode) {
+    Federation federation;
+    federation.join(std::make_shared<Scrambler>("s1", 0));
+    auto first = std::make_shared<Recorder>();
+    federation.join(first);
+    federation.join(std::make_shared<Scrambler>("s2", 1000));
+    auto second = std::make_shared<Recorder>();
+    federation.join(second);
+    federation.run(0.0, 12.0, 1.0, mode);
+    std::vector<Log> logs;
+    for (const auto& recorder : {first, second}) {
+      Log log;
+      for (std::size_t i = 0; i < recorder->received_.size(); ++i) {
+        const Interaction& interaction = recorder->received_[i];
+        // A cycle delivers in (timestamp, sender, sequence) order; across
+        // cycles timestamps still never go back, and one sender's
+        // interactions keep their send order.
+        if (i > 0) {
+          const Interaction& prev = recorder->received_[i - 1];
+          EXPECT_LE(prev.timestamp, interaction.timestamp) << "at " << i;
+          if (prev.sender == interaction.sender &&
+              prev.timestamp == interaction.timestamp) {
+            EXPECT_LT(prev.sequence, interaction.sequence) << "at " << i;
+          }
+        }
+        log.emplace_back(interaction.timestamp, interaction.sender.value(),
+                         interaction.sequence,
+                         interaction.payload_as<IntPayload>()->value);
+      }
+      logs.push_back(std::move(log));
+    }
+    return logs;
+  };
+  const std::vector<Log> sequential = run_once(ExecutionMode::kSequential);
+  const std::vector<Log> threaded = run_once(ExecutionMode::kThreaded);
+
+  // Expected stream, from the delivery rule itself: an interaction sent at
+  // grant k with timestamp ts is delivered at the first grant g > k with
+  // g >= ts, and each cycle delivers in (timestamp, sender, sequence) order.
+  std::vector<std::tuple<int, double, unsigned, std::uint64_t, int>> due;
+  for (const auto& [sender, base] : {std::pair{0u, 0}, std::pair{2u, 1000}}) {
+    std::uint64_t sequence = 0;
+    for (int k = 1; k <= 12; ++k) {
+      for (int round = 0; round < kScrambledRounds; ++round) {
+        for (const double offset : kScrambledOffsets) {
+          const int g = k + std::max(1, static_cast<int>(std::ceil(offset)));
+          if (g <= 12) {
+            due.emplace_back(g, k + offset, sender, sequence,
+                             base + static_cast<int>(sequence));
+          }
+          ++sequence;
+        }
+      }
+    }
+  }
+  std::sort(due.begin(), due.end());
+  Log expected;
+  for (const auto& [g, ts, sender, sequence, value] : due) {
+    expected.emplace_back(ts, sender, sequence, value);
+  }
+
+  ASSERT_EQ(sequential.size(), 2u);
+  EXPECT_EQ(sequential[0], expected);
+  EXPECT_EQ(sequential[1], expected);
+  EXPECT_EQ(threaded[0], expected);
+  EXPECT_EQ(threaded[1], expected);
+}
+
 TEST(Federate, SendWithoutJoiningThrows) {
   class Loner final : public Federate {
    public:
     Loner() : Federate("loner") {}
-    void poke() { send("x", 0.0, make_payload<IntPayload>(1)); }
+    void poke() { send(TopicId{0}, 0.0, make_payload<IntPayload>(1)); }
   };
   Loner loner;
   EXPECT_THROW(loner.poke(), std::logic_error);

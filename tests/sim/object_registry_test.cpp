@@ -18,7 +18,7 @@ class TrackPublisher final : public Federate {
     publisher_.emplace(id(), [this](std::string topic, SimTime ts,
                                     std::shared_ptr<const InteractionPayload>
                                         payload) {
-      send(std::move(topic), ts, std::move(payload));
+      send(this->topic(topic), ts, std::move(payload));
     });
     vehicle_ = publisher_->register_object("vehicle", "shuttle-1", t0);
   }
