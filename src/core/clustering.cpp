@@ -7,6 +7,14 @@
 #include "obs/eventlog.h"
 
 namespace mgrid::core {
+namespace {
+
+/// Orders a cluster before an id: lower_bound over the id-sorted storage.
+constexpr auto kIdBelow = [](const auto& cluster, ClusterId id) {
+  return cluster.info.id < id;
+};
+
+}  // namespace
 
 SequentialClusterer::SequentialClusterer(ClusteringParams params)
     : params_(params) {
@@ -19,15 +27,24 @@ SequentialClusterer::SequentialClusterer(ClusteringParams params)
   }
 }
 
-ClusterId SequentialClusterer::create_cluster(const ClusterFeature& seed) {
-  const ClusterId id{static_cast<ClusterId::value_type>(clusters_.size())};
-  ClusterState state;
-  state.info.id = id;
+SequentialClusterer::ClusterState& SequentialClusterer::create_cluster(
+    const ClusterFeature& seed) {
+  ClusterState& state = clusters_.emplace_back();
+  state.info.id = ClusterId{next_id_++};  // the largest id so far: stays sorted
   state.info.centroid = seed;
-  clusters_.push_back(std::move(state));
-  live_ids_.push_back(id.value());  // the largest id so far: stays sorted
   ++clusters_created_;
-  return id;
+  return state;
+}
+
+SequentialClusterer::ClusterState& SequentialClusterer::live(ClusterId id) {
+  return *std::lower_bound(clusters_.begin(), clusters_.end(), id, kIdBelow);
+}
+
+const SequentialClusterer::ClusterState* SequentialClusterer::find(
+    ClusterId id) const {
+  const auto it =
+      std::lower_bound(clusters_.begin(), clusters_.end(), id, kIdBelow);
+  return it != clusters_.end() && it->info.id == id ? &*it : nullptr;
 }
 
 void SequentialClusterer::add_member(ClusterState& cluster,
@@ -53,10 +70,8 @@ void SequentialClusterer::remove_member(ClusterState& cluster,
   refresh_centroid(cluster);
   member.cluster = ClusterId::invalid();
   --member_count_;
-  if (cluster.info.size == 0) {
-    const ClusterId::value_type id = cluster.info.id.value();
-    live_ids_.erase(std::lower_bound(live_ids_.begin(), live_ids_.end(), id));
-    clusters_[id].reset();  // retire
+  if (cluster.info.size == 0) {  // retire: `cluster` is an element
+    clusters_.erase(clusters_.begin() + (&cluster - clusters_.data()));
   }
 }
 
@@ -73,8 +88,7 @@ SequentialClusterer::ClusterState* SequentialClusterer::find_nearest(
   // Ascending id order with a strict `<`: ties go to the lowest id.
   ClusterState* best = nullptr;
   double best_d = std::numeric_limits<double>::infinity();
-  for (const ClusterId::value_type id : live_ids_) {
-    ClusterState& cluster = *clusters_[id];
+  for (ClusterState& cluster : clusters_) {
     const double d = f.distance_to(cluster.info.centroid);
     if (d < best_d) {
       best_d = d;
@@ -98,27 +112,24 @@ ClusterId SequentialClusterer::assign(MnId mn,
   const std::uint32_t slot = slots_.insert(mn);
   if (slot == members_.size()) members_.emplace_back();
   if (const ClusterId current = members_[slot].cluster; current.valid()) {
-    remove_member(*clusters_[current.value()], slot);
+    remove_member(live(current), slot);
   }
 
   double nearest_distance = 0.0;
   ClusterState* nearest = find_nearest(f, &nearest_distance);
   const bool cap_reached =
       params_.max_clusters != 0 && cluster_count() >= params_.max_clusters;
-  ClusterId id;
-  if (nearest != nullptr &&
-      (nearest_distance <= params_.alpha || cap_reached)) {
-    add_member(*nearest, slot, f);
-    id = nearest->info.id;
-  } else {
-    id = create_cluster(f);
-    add_member(*clusters_[id.value()], slot, f);
-  }
+  ClusterState& joined =
+      nearest != nullptr &&
+              (nearest_distance <= params_.alpha || cap_reached)
+          ? *nearest
+          : create_cluster(f);
+  add_member(joined, slot, f);
   if (obs::eventlog_enabled()) {
-    obs::evt::clustered(static_cast<std::int64_t>(id.value()),
-                        clusters_[id.value()]->info.centroid.speed);
+    obs::evt::clustered(static_cast<std::int64_t>(joined.info.id.value()),
+                        joined.info.centroid.speed);
   }
-  return id;
+  return joined.info.id;
 }
 
 bool SequentialClusterer::remove(MnId mn) {
@@ -126,7 +137,7 @@ bool SequentialClusterer::remove(MnId mn) {
   if (slot == util::MnSlotIndex::kNoSlot) return false;
   const ClusterId current = members_[slot].cluster;
   if (!current.valid()) return false;
-  remove_member(*clusters_[current.value()], slot);
+  remove_member(live(current), slot);
   return true;
 }
 
@@ -140,19 +151,17 @@ std::optional<ClusterId> SequentialClusterer::cluster_of(MnId mn) const {
 }
 
 const ClusterInfo& SequentialClusterer::cluster(ClusterId id) const {
-  if (!id.valid() || id.value() >= clusters_.size() ||
-      !clusters_[id.value()]) {
+  const ClusterState* state = find(id);
+  if (state == nullptr) {
     throw std::out_of_range("SequentialClusterer::cluster: unknown id");
   }
-  return clusters_[id.value()]->info;
+  return state->info;
 }
 
 std::vector<ClusterInfo> SequentialClusterer::clusters() const {
   std::vector<ClusterInfo> out;
-  out.reserve(live_ids_.size());
-  for (const ClusterId::value_type id : live_ids_) {
-    out.push_back(clusters_[id]->info);
-  }
+  out.reserve(clusters_.size());
+  for (const ClusterState& cluster : clusters_) out.push_back(cluster.info);
   return out;
 }
 
@@ -180,7 +189,7 @@ void SequentialClusterer::rebuild(double merge_fraction) {
   // feature it last joined with.
   const std::vector<std::uint32_t> members = members_by_mn(ClusterId{});
   clusters_.clear();
-  live_ids_.clear();
+  next_id_ = 0;
   for (const std::uint32_t slot : members) {
     members_[slot].cluster = ClusterId::invalid();
   }
@@ -191,32 +200,29 @@ void SequentialClusterer::rebuild(double merge_fraction) {
     ClusterState* nearest = find_nearest(f, &nearest_distance);
     const bool cap_reached =
         params_.max_clusters != 0 && cluster_count() >= params_.max_clusters;
-    if (nearest != nullptr &&
-        (nearest_distance <= params_.alpha || cap_reached)) {
-      add_member(*nearest, slot, f);
-    } else {
-      const ClusterId id = create_cluster(f);
-      add_member(*clusters_[id.value()], slot, f);
-    }
+    add_member(nearest != nullptr &&
+                       (nearest_distance <= params_.alpha || cap_reached)
+                   ? *nearest
+                   : create_cluster(f),
+               slot, f);
   }
 
   // Merge pass: absorb clusters whose centroids ended up closer than
   // merge_fraction * alpha (BSAS refinement).
   const double merge_radius = merge_fraction * params_.alpha;
   for (std::size_t i = 0; i < clusters_.size(); ++i) {
-    if (!clusters_[i]) continue;
-    for (std::size_t j = i + 1; j < clusters_.size(); ++j) {
-      if (!clusters_[j]) continue;
-      if (clusters_[i]->info.centroid.distance_to(
-              clusters_[j]->info.centroid) > merge_radius) {
+    for (std::size_t j = i + 1; j < clusters_.size();) {
+      if (clusters_[i].info.centroid.distance_to(
+              clusters_[j].info.centroid) > merge_radius) {
+        ++j;
         continue;
       }
-      // Move every member of j into i.
-      for (const std::uint32_t slot :
-           members_by_mn(clusters_[j]->info.id)) {
+      // Move every member of j into i; the last move retires j, so the
+      // next cluster slides into index j.
+      for (const std::uint32_t slot : members_by_mn(clusters_[j].info.id)) {
         const ClusterFeature f = members_[slot].feature;
-        remove_member(*clusters_[j], slot);
-        add_member(*clusters_[i], slot, f);
+        remove_member(clusters_[j], slot);
+        add_member(clusters_[i], slot, f);
       }
     }
   }

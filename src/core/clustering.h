@@ -60,7 +60,7 @@ class SequentialClusterer {
   /// Live clusters, ordered by id.
   [[nodiscard]] std::vector<ClusterInfo> clusters() const;
   [[nodiscard]] std::size_t cluster_count() const noexcept {
-    return live_ids_.size();
+    return clusters_.size();
   }
   [[nodiscard]] std::size_t member_count() const noexcept {
     return member_count_;
@@ -96,7 +96,12 @@ class SequentialClusterer {
     ClusterFeature feature;
   };
 
-  ClusterId create_cluster(const ClusterFeature& seed);
+  /// Appends a cluster with the next id; returns it.
+  ClusterState& create_cluster(const ClusterFeature& seed);
+  /// The live cluster `id` (which must be live).
+  [[nodiscard]] ClusterState& live(ClusterId id);
+  /// The live cluster `id`, or nullptr when it is retired or unknown.
+  [[nodiscard]] const ClusterState* find(ClusterId id) const;
   void add_member(ClusterState& cluster, std::uint32_t slot,
                   const ClusterFeature& f);
   void remove_member(ClusterState& cluster, std::uint32_t slot);
@@ -109,11 +114,12 @@ class SequentialClusterer {
                                            double* out_distance);
 
   ClusteringParams params_;
-  // Dense-by-id storage; retired clusters become nullopt slots.
-  std::vector<std::optional<ClusterState>> clusters_;
-  // Ids of the live clusters, ascending: find_nearest scans only these, so
-  // retired slots cost nothing between rebuilds.
-  std::vector<ClusterId::value_type> live_ids_;
+  // The live clusters only, ascending by id: ids are handed out in creation
+  // order and a retired cluster is erased, so storage is bounded by the
+  // live clusters however many were created since the last rebuild.
+  std::vector<ClusterState> clusters_;
+  // Id of the next cluster created; restarts at 0 on rebuild().
+  ClusterId::value_type next_id_ = 0;
   util::MnSlotIndex slots_;
   std::vector<Member> members_;  // by slot
   std::size_t member_count_ = 0;

@@ -9,6 +9,15 @@
 
 namespace mgrid::serve {
 
+namespace {
+
+/// How long a worker that just drained waits for more LUs before it looks
+/// again. Short on purpose: it bounds how long an LU sits unapplied on a
+/// live server, and a 1 ms linger measured slower tick barriers.
+constexpr std::chrono::microseconds kLinger{50};
+
+}  // namespace
+
 /// Registry handles for the pipeline's backpressure telemetry, resolved
 /// once against the constructing thread's current registry. Depth gauges
 /// are per source so a scrape shows which queues are hot.
@@ -81,10 +90,24 @@ IngestPipeline::IngestPipeline(ShardedDirectory& directory,
   } else {
     shed_threshold_ = std::numeric_limits<std::size_t>::max();
   }
-  paused_ = options_.start_paused;
+  wake_depth_ = options_.batch_size;
+  if (options_.queue_capacity > 0) {
+    wake_depth_ = std::min(
+        wake_depth_, std::max<std::size_t>(1, options_.queue_capacity / 2));
+  }
+  if (shed_threshold_ != std::numeric_limits<std::size_t>::max()) {
+    wake_depth_ =
+        std::min(wake_depth_, std::max<std::size_t>(1, shed_threshold_ / 2));
+  }
+  paused_.store(options_.start_paused, std::memory_order_relaxed);
   queues_.reserve(options_.sources);
   for (std::size_t i = 0; i < options_.sources; ++i) {
     queues_.push_back(std::make_unique<SourceQueue>());
+    queues_.back()->batch.reserve(options_.batch_size);
+  }
+  worker_states_.reserve(options_.workers);
+  for (std::size_t i = 0; i < options_.workers; ++i) {
+    worker_states_.push_back(std::make_unique<WorkerState>());
   }
   home_registry_ = &obs::current_registry();
   telemetry_ = std::make_shared<Telemetry>(*home_registry_, options_.sources,
@@ -118,7 +141,7 @@ bool IngestPipeline::submit(const wire::LuMsg& msg) {
            : options_.spans->sampled(static_cast<std::uint32_t>(source),
                                      msg.mn, msg.seq));
   SourceQueue& queue = *queues_[source];
-  bool was_empty = false;
+  WorkerState& owner = *worker_states_[source % worker_states_.size()];
   std::size_t depth = 0;
   {
     const std::lock_guard<std::mutex> lock(queue.mutex);
@@ -152,7 +175,6 @@ bool IngestPipeline::submit(const wire::LuMsg& msg) {
         }
       }
     }
-    was_empty = queue.lus.empty();
     QueuedLu item;
     item.msg = msg;
     item.sampled = span_sampled;
@@ -185,6 +207,11 @@ bool IngestPipeline::submit(const wire::LuMsg& msg) {
     // deterministic. Tap time lands in the span's queue stage.
     if (options_.lu_tap) options_.lu_tap(msg);
     depth = queue.lus.size();
+    ++queue.pushed;
+    // Counted under the queue lock so it never runs behind a take. The
+    // read-modify-write also orders this LU before the `parked` load below:
+    // a worker that parks after it sees the LU in its depth recheck.
+    owner.depth.fetch_add(1, std::memory_order_seq_cst);
   }
   accepted_.fetch_add(1, std::memory_order_relaxed);
   pending_.fetch_add(1, std::memory_order_acq_rel);
@@ -192,28 +219,57 @@ bool IngestPipeline::submit(const wire::LuMsg& msg) {
     telemetry_->accepted.inc();
     telemetry_->queue_depth[source].set(static_cast<double>(depth));
   }
-  if (was_empty) {
-    // The owning worker may be parked on an empty queue; the lock pairs
-    // with its predicate check so the wakeup cannot be lost.
-    const std::lock_guard<std::mutex> lock(control_mutex_);
-    work_cv_.notify_all();
+  // Ring only a parked worker (the first submit to see it claims the ring)
+  // or one whose queue just reached the wake depth; a lingering worker
+  // picks the LU up on its next look.
+  if (depth == wake_depth_ ||
+      (owner.parked.load(std::memory_order_seq_cst) &&
+       owner.parked.exchange(false, std::memory_order_acq_rel))) {
+    ring(owner);
   }
   return true;
 }
 
+void IngestPipeline::ring(WorkerState& worker) {
+  {
+    const std::lock_guard<std::mutex> lock(worker.mutex);
+    worker.rung = true;
+  }
+  worker.cv.notify_one();
+}
+
 void IngestPipeline::resume() {
-  const std::lock_guard<std::mutex> lock(control_mutex_);
-  if (!paused_) return;
-  paused_ = false;
-  work_cv_.notify_all();
+  {
+    const std::lock_guard<std::mutex> lock(control_mutex_);
+    if (!paused_.load(std::memory_order_relaxed)) return;
+    paused_.store(false, std::memory_order_release);
+  }
+  for (const std::unique_ptr<WorkerState>& worker : worker_states_) {
+    ring(*worker);
+  }
 }
 
 void IngestPipeline::flush() {
   resume();
-  std::unique_lock<std::mutex> lock(control_mutex_);
-  idle_cv_.wait(lock, [this] {
-    return pending_.load(std::memory_order_acquire) == 0;
-  });
+  // Apply-side metrics land in the owner's registry, as on a worker.
+  const obs::ScopedRegistry scoped_registry(*home_registry_);
+  for (std::size_t q = 0; q < queues_.size(); ++q) {
+    SourceQueue& queue = *queues_[q];
+    std::uint64_t target = 0;
+    {
+      const std::lock_guard<std::mutex> lock(queue.mutex);
+      target = queue.pushed;
+    }
+    // One batch per drain-lock hold, so the owning worker can interleave
+    // its own batches; `drained` is counted after each apply, so reaching
+    // the target under the lock means the whole prefix is visible.
+    for (;;) {
+      const std::lock_guard<std::mutex> drain(queue.drain_mutex);
+      if (queue.drained >= target) break;
+      std::size_t remaining = 0;
+      drain_batch(q, options_.batch_size, remaining);
+    }
+  }
 }
 
 void IngestPipeline::stop() {
@@ -222,21 +278,14 @@ void IngestPipeline::stop() {
     if (stopped_) return;
     stopped_ = true;
     accepting_.store(false, std::memory_order_release);
-    stopping_ = true;
-    paused_ = false;
-    work_cv_.notify_all();
+    paused_.store(false, std::memory_order_release);
+    stopping_.store(true, std::memory_order_release);
+  }
+  for (const std::unique_ptr<WorkerState>& worker : worker_states_) {
+    ring(*worker);
   }
   for (std::thread& worker : workers_) worker.join();
   workers_.clear();
-}
-
-bool IngestPipeline::own_work(std::size_t worker_id) {
-  for (std::size_t q = worker_id; q < queues_.size();
-       q += options_.workers) {
-    const std::lock_guard<std::mutex> lock(queues_[q]->mutex);
-    if (!queues_[q]->lus.empty()) return true;
-  }
-  return false;
 }
 
 std::vector<std::size_t> IngestPipeline::queue_depths() const {
@@ -257,178 +306,198 @@ void IngestPipeline::worker_main(std::size_t worker_id) {
   // workers instead of showing raw trace ids.
   obs::current_trace_recorder().set_thread_name(
       obs::trace_thread_id(), "ingest-worker-" + std::to_string(worker_id));
-  /// A span-sampled LU awaiting its apply/visible stage stamps.
-  struct PendingSpan {
-    std::uint32_t mn = 0;
-    std::uint32_t seq = 0;
-    std::uint64_t wal_ns = 0;
-    std::chrono::steady_clock::time_point enqueued{};
-    wire::TraceContext trace{};
-  };
-  std::vector<ShardedDirectory::LuApply> batch;
-  std::vector<std::chrono::steady_clock::time_point> enqueue_times;
-  std::vector<PendingSpan> pending_spans;
-  batch.reserve(options_.batch_size);
-  enqueue_times.reserve(options_.batch_size);
+  WorkerState& self = *worker_states_[worker_id];
   for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(control_mutex_);
-      work_cv_.wait(lock, [this, worker_id] {
-        return stopping_ || (!paused_ && own_work(worker_id));
-      });
-    }
     bool drained_any = false;
-    for (std::size_t q = worker_id; q < queues_.size();
-         q += options_.workers) {
-      SourceQueue& queue = *queues_[q];
-      batch.clear();
-      enqueue_times.clear();
-      pending_spans.clear();
-      std::size_t remaining_depth = 0;
-      {
-        const std::lock_guard<std::mutex> lock(queue.mutex);
-        const std::size_t take =
-            std::min(options_.batch_size, queue.lus.size());
-        for (std::size_t i = 0; i < take; ++i) {
-          const QueuedLu& item = queue.lus[i];
-          batch.push_back({item.msg.mn,
-                           item.msg.t,
-                           {item.msg.x, item.msg.y},
-                           {item.msg.vx, item.msg.vy}});
-          enqueue_times.push_back(item.enqueued);
-          if (item.sampled) {
-            pending_spans.push_back({item.msg.mn, item.msg.seq, item.wal_ns,
-                                     item.enqueued, item.msg.trace});
-          }
+    bool backlog = false;
+    if (!paused_.load(std::memory_order_acquire)) {
+      for (std::size_t q = worker_id; q < queues_.size();
+           q += options_.workers) {
+        SourceQueue& queue = *queues_[q];
+        const std::lock_guard<std::mutex> drain(queue.drain_mutex);
+        std::size_t remaining = 0;
+        if (drain_batch(q, options_.batch_size, remaining) > 0) {
+          drained_any = true;
         }
-        queue.lus.erase(queue.lus.begin(),
-                        queue.lus.begin() + static_cast<std::ptrdiff_t>(take));
-        remaining_depth = queue.lus.size();
-      }
-      if (batch.empty()) continue;
-      drained_any = true;
-      std::chrono::steady_clock::time_point apply_start;
-      if (!pending_spans.empty()) {
-        apply_start = std::chrono::steady_clock::now();
-      }
-      const std::size_t applied = directory_.apply_batch(batch);
-      std::chrono::steady_clock::time_point apply_end;
-      if (!pending_spans.empty()) {
-        apply_end = std::chrono::steady_clock::now();
-      }
-      applied_.fetch_add(applied, std::memory_order_relaxed);
-      rejected_stale_.fetch_add(batch.size() - applied,
-                                std::memory_order_relaxed);
-      batches_.fetch_add(1, std::memory_order_relaxed);
-
-      double max_latency = 0.0;
-      bool have_latency = false;
-      if (obs::enabled()) {
-        const auto now = std::chrono::steady_clock::now();
-        for (const auto& enqueued : enqueue_times) {
-          if (enqueued == std::chrono::steady_clock::time_point{}) continue;
-          const double seconds =
-              std::chrono::duration<double>(now - enqueued).count();
-          telemetry_->enqueue_to_apply_seconds.observe(seconds);
-          max_latency = std::max(max_latency, seconds);
-          have_latency = true;
-        }
-        telemetry_->batch_size.observe(static_cast<double>(batch.size()));
-        telemetry_->queue_depth[q].set(
-            static_cast<double>(remaining_depth));
-        if (applied < batch.size()) {
-          telemetry_->rejected_stale.inc(
-              static_cast<std::uint64_t>(batch.size() - applied));
-        }
-      }
-      if (options_.backpressure_hook && have_latency) {
-        options_.backpressure_hook(batch.size(), max_latency);
-      }
-
-      if (!pending_spans.empty()) {
-        // "Visible" is stamped after the telemetry/hook work above: it is
-        // the moment a lookup issued now would see the applied batch with
-        // all observability side effects settled. The four stages tile
-        // [enqueued, visible] exactly, so their sum IS the span total.
-        const auto visible = std::chrono::steady_clock::now();
-        for (const PendingSpan& pending_span : pending_spans) {
-          obs::LuSpan span;
-          span.mn = pending_span.mn;
-          span.seq = pending_span.seq;
-          span.source = static_cast<std::uint32_t>(q);
-          // A propagated context keeps its upstream id so every hop of the
-          // cluster trace shares one trace_id; local sampling derives it.
-          span.trace_id =
-              pending_span.trace.trace_id != 0
-                  ? pending_span.trace.trace_id
-                  : obs::SpanTracer::trace_id(span.source, pending_span.mn,
-                                              pending_span.seq);
-          span.tid = obs::trace_thread_id();
-          span.wall_us = static_cast<std::uint64_t>(
-              std::chrono::duration_cast<std::chrono::microseconds>(
-                  visible.time_since_epoch())
-                  .count());
-          const double wal_seconds =
-              static_cast<double>(pending_span.wal_ns) * 1e-9;
-          const double to_apply_start =
-              std::chrono::duration<double>(apply_start -
-                                            pending_span.enqueued)
-                  .count();
-          span.stage_seconds[static_cast<std::size_t>(obs::LuStage::kWal)] =
-              wal_seconds;
-          span.stage_seconds[static_cast<std::size_t>(
-              obs::LuStage::kQueue)] =
-              std::max(0.0, to_apply_start - wal_seconds);
-          span.stage_seconds[static_cast<std::size_t>(
-              obs::LuStage::kApply)] =
-              std::chrono::duration<double>(apply_end - apply_start).count();
-          span.stage_seconds[static_cast<std::size_t>(
-              obs::LuStage::kVisible)] =
-              std::chrono::duration<double>(visible - apply_end).count();
-          // Upstream stages from the propagated timestamps (monotonic us,
-          // cross-process comparable on one machine); the network stage
-          // ends at the enqueue stamp, the same steady clock. Untraced LUs
-          // leave them 0, so the local four stages still tile the span
-          // exactly.
-          const wire::TraceContext& upstream = pending_span.trace;
-          const auto enqueued_us = static_cast<std::uint64_t>(
-              std::chrono::duration_cast<std::chrono::microseconds>(
-                  pending_span.enqueued.time_since_epoch())
-                  .count());
-          if (upstream.send_us > upstream.origin_us &&
-              upstream.origin_us != 0) {
-            span.stage_seconds[static_cast<std::size_t>(
-                obs::LuStage::kRouterBatch)] =
-                static_cast<double>(upstream.send_us - upstream.origin_us) *
-                1e-6;
-          }
-          if (enqueued_us > upstream.send_us && upstream.send_us != 0) {
-            span.stage_seconds[static_cast<std::size_t>(obs::LuStage::kNet)] =
-                static_cast<double>(enqueued_us - upstream.send_us) * 1e-6;
-          }
-          for (const double stage : span.stage_seconds) {
-            span.total_seconds += stage;
-          }
-          options_.spans->record("update_latency", span);
-        }
-      }
-
-      if (pending_.fetch_sub(batch.size(), std::memory_order_acq_rel) ==
-          batch.size()) {
-        // Fully drained: the overload that triggered shedding has passed,
-        // so lift degraded mode.
-        if (shed_active_.exchange(false, std::memory_order_relaxed)) {
-          directory_.set_degraded(false);
-        }
-        const std::lock_guard<std::mutex> lock(control_mutex_);
-        idle_cv_.notify_all();
+        if (remaining >= wake_depth_) backlog = true;
       }
     }
-    if (!drained_any) {
-      const std::lock_guard<std::mutex> lock(control_mutex_);
-      if (stopping_) return;
+    if (backlog) continue;  // a full batch is already waiting
+    std::unique_lock<std::mutex> lock(self.mutex);
+    if (drained_any) {
+      // Linger: let LUs gather into the next batch instead of taking them
+      // one wake-up at a time. A ring (wake depth, stop) cuts it short.
+      self.cv.wait_for(lock, kLinger, [this, &self] {
+        return self.rung || stopping_.load(std::memory_order_acquire);
+      });
+    } else {
+      if (stopping_.load(std::memory_order_acquire) &&
+          self.depth.load(std::memory_order_acquire) == 0) {
+        return;  // stop() closed submits; everything owned is applied
+      }
+      // Park until rung. `parked` is published before the depth recheck in
+      // the predicate; submit() counts depth before it loads `parked`, so
+      // one of the two sees the other and no LU is left unrung.
+      self.parked.store(true, std::memory_order_seq_cst);
+      self.cv.wait(lock, [this, &self] {
+        return stopping_.load(std::memory_order_acquire) ||
+               (!paused_.load(std::memory_order_acquire) &&
+                (self.rung ||
+                 self.depth.load(std::memory_order_seq_cst) > 0));
+      });
+      self.parked.store(false, std::memory_order_relaxed);
+    }
+    self.rung = false;
+  }
+}
+
+std::size_t IngestPipeline::drain_batch(std::size_t q, std::size_t max_lus,
+                                        std::size_t& remaining) {
+  SourceQueue& queue = *queues_[q];
+  std::vector<ShardedDirectory::LuApply>& batch = queue.batch;
+  std::vector<std::chrono::steady_clock::time_point>& enqueue_times =
+      queue.enqueue_times;
+  std::vector<PendingSpan>& pending_spans = queue.pending_spans;
+  batch.clear();
+  enqueue_times.clear();
+  pending_spans.clear();
+  {
+    const std::lock_guard<std::mutex> lock(queue.mutex);
+    const std::size_t take = std::min(max_lus, queue.lus.size());
+    for (std::size_t i = 0; i < take; ++i) {
+      const QueuedLu& item = queue.lus[i];
+      batch.push_back({item.msg.mn,
+                       item.msg.t,
+                       {item.msg.x, item.msg.y},
+                       {item.msg.vx, item.msg.vy}});
+      enqueue_times.push_back(item.enqueued);
+      if (item.sampled) {
+        pending_spans.push_back({item.msg.mn, item.msg.seq, item.wal_ns,
+                                 item.enqueued, item.msg.trace});
+      }
+    }
+    queue.lus.erase(queue.lus.begin(),
+                    queue.lus.begin() + static_cast<std::ptrdiff_t>(take));
+    remaining = queue.lus.size();
+    worker_states_[q % worker_states_.size()]->depth.fetch_sub(
+        take, std::memory_order_relaxed);
+  }
+  if (batch.empty()) return 0;
+  std::chrono::steady_clock::time_point apply_start;
+  if (!pending_spans.empty()) {
+    apply_start = std::chrono::steady_clock::now();
+  }
+  const std::size_t applied = directory_.apply_batch(batch);
+  std::chrono::steady_clock::time_point apply_end;
+  if (!pending_spans.empty()) {
+    apply_end = std::chrono::steady_clock::now();
+  }
+  applied_.fetch_add(applied, std::memory_order_relaxed);
+  rejected_stale_.fetch_add(batch.size() - applied,
+                            std::memory_order_relaxed);
+  batches_.fetch_add(1, std::memory_order_relaxed);
+
+  double max_latency = 0.0;
+  bool have_latency = false;
+  if (obs::enabled()) {
+    const auto now = std::chrono::steady_clock::now();
+    for (const auto& enqueued : enqueue_times) {
+      if (enqueued == std::chrono::steady_clock::time_point{}) continue;
+      const double seconds =
+          std::chrono::duration<double>(now - enqueued).count();
+      telemetry_->enqueue_to_apply_seconds.observe(seconds);
+      max_latency = std::max(max_latency, seconds);
+      have_latency = true;
+    }
+    telemetry_->batch_size.observe(static_cast<double>(batch.size()));
+    telemetry_->queue_depth[q].set(static_cast<double>(remaining));
+    if (applied < batch.size()) {
+      telemetry_->rejected_stale.inc(
+          static_cast<std::uint64_t>(batch.size() - applied));
     }
   }
+  if (options_.backpressure_hook && have_latency) {
+    options_.backpressure_hook(batch.size(), max_latency);
+  }
+
+  if (!pending_spans.empty()) {
+    // "Visible" is stamped after the telemetry/hook work above: it is
+    // the moment a lookup issued now would see the applied batch with
+    // all observability side effects settled. The four stages tile
+    // [enqueued, visible] exactly, so their sum IS the span total.
+    const auto visible = std::chrono::steady_clock::now();
+    for (const PendingSpan& pending_span : pending_spans) {
+      obs::LuSpan span;
+      span.mn = pending_span.mn;
+      span.seq = pending_span.seq;
+      span.source = static_cast<std::uint32_t>(q);
+      // A propagated context keeps its upstream id so every hop of the
+      // cluster trace shares one trace_id; local sampling derives it.
+      span.trace_id =
+          pending_span.trace.trace_id != 0
+              ? pending_span.trace.trace_id
+              : obs::SpanTracer::trace_id(span.source, pending_span.mn,
+                                          pending_span.seq);
+      span.tid = obs::trace_thread_id();
+      span.wall_us = static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::microseconds>(
+              visible.time_since_epoch())
+              .count());
+      const double wal_seconds =
+          static_cast<double>(pending_span.wal_ns) * 1e-9;
+      const double to_apply_start =
+          std::chrono::duration<double>(apply_start -
+                                        pending_span.enqueued)
+              .count();
+      span.stage_seconds[static_cast<std::size_t>(obs::LuStage::kWal)] =
+          wal_seconds;
+      span.stage_seconds[static_cast<std::size_t>(
+          obs::LuStage::kQueue)] =
+          std::max(0.0, to_apply_start - wal_seconds);
+      span.stage_seconds[static_cast<std::size_t>(
+          obs::LuStage::kApply)] =
+          std::chrono::duration<double>(apply_end - apply_start).count();
+      span.stage_seconds[static_cast<std::size_t>(
+          obs::LuStage::kVisible)] =
+          std::chrono::duration<double>(visible - apply_end).count();
+      // Upstream stages from the propagated timestamps (monotonic us,
+      // cross-process comparable on one machine); the network stage
+      // ends at the enqueue stamp, the same steady clock. Untraced LUs
+      // leave them 0, so the local four stages still tile the span
+      // exactly.
+      const wire::TraceContext& upstream = pending_span.trace;
+      const auto enqueued_us = static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::microseconds>(
+              pending_span.enqueued.time_since_epoch())
+              .count());
+      if (upstream.send_us > upstream.origin_us &&
+          upstream.origin_us != 0) {
+        span.stage_seconds[static_cast<std::size_t>(
+            obs::LuStage::kRouterBatch)] =
+            static_cast<double>(upstream.send_us - upstream.origin_us) *
+            1e-6;
+      }
+      if (enqueued_us > upstream.send_us && upstream.send_us != 0) {
+        span.stage_seconds[static_cast<std::size_t>(obs::LuStage::kNet)] =
+            static_cast<double>(enqueued_us - upstream.send_us) * 1e-6;
+      }
+      for (const double stage : span.stage_seconds) {
+        span.total_seconds += stage;
+      }
+      options_.spans->record("update_latency", span);
+    }
+  }
+
+  queue.drained += batch.size();
+  if (pending_.fetch_sub(batch.size(), std::memory_order_acq_rel) ==
+      batch.size()) {
+    // Fully drained: the overload that triggered shedding has passed, so
+    // lift degraded mode.
+    if (shed_active_.exchange(false, std::memory_order_relaxed)) {
+      directory_.set_degraded(false);
+    }
+  }
+  return batch.size();
 }
 
 IngestStats IngestPipeline::stats() const {

@@ -2,23 +2,41 @@
 //
 // Producers submit decoded wire::LuMsg frames; each LU is routed to one of
 // `sources` MPSC queues by mn % sources, and each queue is owned by exactly
-// one worker (source % workers), so per-MN arrival order is preserved for
-// ANY worker count — replaying a log with 1 worker or 8 reaches the same
-// directory state. Workers drain their queues in batches, group each batch
-// by destination shard and apply it under one shard lock per group, which
-// amortises locking at high rates.
+// one worker (source % workers). Workers drain their queues in batches,
+// group each batch by destination shard and apply it under one shard lock
+// per group, which amortises locking at high rates.
 //
-// flush() is the barrier the replay driver uses between simulated ticks:
-// it returns once every LU submitted before the call has been applied.
+// Ordering: "take a batch from a queue + apply it" runs under that queue's
+// drain lock, whoever does it — the owning worker or a flush() caller — so
+// LUs of one MN are applied in submission order for ANY worker count, and
+// replaying a log with 1 worker or 8 reaches the same directory state.
+//
+// Wake policy: submit() does not wake a worker per LU. It rings the owning
+// worker (and only that one) in two cases: the worker is parked with no
+// work at all, or the queue just reached its wake depth — batch_size, or
+// half of queue_capacity / of the shed threshold when those are set, so
+// deferring the drain never turns into a reject or a shed. A worker that
+// drained something waits a fixed short linger (kLinger in ingest.cpp,
+// 50 us) for more LUs to gather, then looks again; after one empty look it
+// parks until rung. On a quiet server an LU therefore becomes visible to
+// lookup() within about one linger plus one batch apply of its submit, or
+// at the next flush(), whichever is first.
+//
+// flush() is the barrier the replay and tick drivers use between simulated
+// ticks: it returns once every LU submitted before the call has been
+// applied. The caller drains every queue itself, batch by batch under each
+// queue's drain lock, up to the queue's length at the call — the barrier
+// never waits for a worker to be scheduled, and producers running beside
+// it cannot keep it from returning.
 //
 // Backpressure telemetry (recorded into the registry that is current on the
-// constructing thread; worker threads inherit it): per-source queue-depth
-// gauges (mgrid_ingest_queue_depth{source=...}), an enqueue-to-apply
-// latency histogram, a batch-size histogram and accept/reject counters
-// (mgrid_ingest_rejected_total{reason="full"|"stale"}). The bounded-queue
-// mode (queue_capacity > 0) turns overload into counted rejects instead of
-// unbounded memory growth. All of it is gated on obs::enabled(): the
-// disabled cost per submit is one relaxed atomic load.
+// constructing thread; worker threads and flushing callers install it):
+// per-source queue-depth gauges (mgrid_ingest_queue_depth{source=...}), an
+// enqueue-to-apply latency histogram, a batch-size histogram and
+// accept/reject counters (mgrid_ingest_rejected_total{reason="full"|
+// "stale"}). The bounded-queue mode (queue_capacity > 0) turns overload into
+// counted rejects instead of unbounded memory growth. All of it is gated on
+// obs::enabled(): the disabled cost per submit is one relaxed atomic load.
 //
 // Latency attribution (options.spans): deterministically sampled LUs carry
 // a per-stage span — source-queue wait, WAL append, directory apply,
@@ -65,7 +83,8 @@ struct IngestOptions {
   /// resume() releases the workers. Lets benchmarks time pure drain
   /// throughput without the producer in the loop.
   bool start_paused = false;
-  /// Called by workers after each applied batch with (batch size, max
+  /// Called after each applied batch — by a worker, or by a flush() caller
+  /// draining on its own thread — with (batch size, max
   /// enqueue-to-apply seconds in the batch). Latencies are only measured
   /// while obs::enabled(); the hook then feeds e.g. an obs::SloMonitor's
   /// update-latency SLI at batch rate rather than per LU. Must be
@@ -136,8 +155,9 @@ class IngestPipeline {
   /// Releases workers parked by start_paused (no-op otherwise).
   void resume();
 
-  /// Blocks until everything submitted before the call has been applied.
-  /// Implies resume().
+  /// Blocks until everything submitted before the call has been applied,
+  /// draining the queues on the calling thread. Implies resume(). Safe to
+  /// call concurrently with submit() and with other flush() calls.
   void flush();
 
   /// Drains outstanding work and joins the workers. Idempotent; submit()
@@ -148,8 +168,8 @@ class IngestPipeline {
   [[nodiscard]] std::size_t worker_count() const noexcept {
     return workers_.size();
   }
-  /// LUs accepted but not yet applied (the flush barrier's condition and
-  /// the admin plane's readiness signal).
+  /// LUs accepted but not yet applied (the admin plane's readiness
+  /// signal).
   [[nodiscard]] std::uint64_t pending() const noexcept {
     return pending_.load(std::memory_order_acquire);
   }
@@ -170,43 +190,91 @@ class IngestPipeline {
     bool sampled = false;
   };
 
+  /// A span-sampled LU awaiting its apply/visible stage stamps.
+  struct PendingSpan {
+    std::uint32_t mn = 0;
+    std::uint32_t seq = 0;
+    std::uint64_t wal_ns = 0;
+    std::chrono::steady_clock::time_point enqueued{};
+    wire::TraceContext trace{};
+  };
+
   struct SourceQueue {
     mutable std::mutex mutex;
     std::deque<QueuedLu> lus;
+    /// LUs ever pushed (guarded by `mutex`): flush()'s per-queue target.
+    std::uint64_t pushed = 0;
     /// Last accepted position per MN on this source — the displacement
     /// baseline for admission control, kept only while shedding is enabled
     /// (guarded by `mutex`).
     std::unordered_map<std::uint32_t, geo::Vec2> last_position;
+
+    /// Serialises "take a batch + apply it" between the owning worker and
+    /// flush() callers, so batches of one queue apply in queue order.
+    std::mutex drain_mutex;
+    /// LUs taken and applied (guarded by `drain_mutex`, counted after the
+    /// apply): once it reaches a flush target, that prefix is visible.
+    std::uint64_t drained = 0;
+    /// Drain scratch, reused batch to batch (guarded by `drain_mutex`).
+    std::vector<ShardedDirectory::LuApply> batch;
+    std::vector<std::chrono::steady_clock::time_point> enqueue_times;
+    std::vector<PendingSpan> pending_spans;
+  };
+
+  /// Wake-up state of one worker; aligned so producers ringing one worker
+  /// do not share a cache line with another's.
+  struct alignas(64) WorkerState {
+    std::mutex mutex;
+    std::condition_variable cv;
+    /// A ring (work, resume or stop) the worker has not consumed yet
+    /// (guarded by `mutex`).
+    bool rung = false;
+    /// Set while the worker is (about to be) parked with no work; the first
+    /// submit that sees it claims it and rings.
+    std::atomic<bool> parked{false};
+    /// LUs queued, not yet taken, across the worker's sources.
+    std::atomic<std::size_t> depth{0};
   };
 
   struct Telemetry;  // registry handles, resolved once at construction
 
   void worker_main(std::size_t worker_id);
-  /// True when any queue owned by `worker_id` holds LUs.
-  [[nodiscard]] bool own_work(std::size_t worker_id);
+  /// Takes up to `max_lus` LUs from queue `q` and applies them, with the
+  /// counters, telemetry, hook and spans that go with a batch. The caller
+  /// holds the queue's drain_mutex. Returns the number taken; `remaining`
+  /// receives the queue depth after the take.
+  std::size_t drain_batch(std::size_t q, std::size_t max_lus,
+                          std::size_t& remaining);
+  /// Wakes one worker out of its linger or park.
+  static void ring(WorkerState& worker);
 
   ShardedDirectory& directory_;
   IngestOptions options_;
   std::vector<std::unique_ptr<SourceQueue>> queues_;
+  std::vector<std::unique_ptr<WorkerState>> worker_states_;
   /// The constructing thread's current registry: telemetry handles resolve
-  /// against it and worker threads install it as their scoped registry, so
-  /// pipeline metrics land with the owner's experiment, not the global.
+  /// against it, and worker threads and flush() callers install it as their
+  /// scoped registry, so pipeline metrics land with the owner's experiment,
+  /// not the global.
   obs::MetricsRegistry* home_registry_ = nullptr;
   std::shared_ptr<Telemetry> telemetry_;
 
-  mutable std::mutex control_mutex_;
-  std::condition_variable work_cv_;  ///< Signals workers: work or stop.
-  std::condition_variable idle_cv_;  ///< Signals flush(): pending drained.
-  bool paused_ = false;
-  bool stopping_ = false;
-  bool stopped_ = false;
+  /// Serialises resume() and stop().
+  std::mutex control_mutex_;
+  std::atomic<bool> paused_{false};
+  std::atomic<bool> stopping_{false};
+  bool stopped_ = false;  ///< Guarded by control_mutex_.
 
   /// Queue depth at which admission control starts shedding (SIZE_MAX when
   /// shedding is disabled).
   std::size_t shed_threshold_ = 0;
+  /// Queue depth at which submit() rings the owning worker even when it is
+  /// lingering: batch_size, capped at half the capacity and half the shed
+  /// threshold.
+  std::size_t wake_depth_ = 0;
 
   std::atomic<bool> accepting_{true};
-  /// LUs accepted but not yet applied (flush barrier condition).
+  /// LUs accepted but not yet applied.
   std::atomic<std::uint64_t> pending_{0};
   std::atomic<std::uint64_t> accepted_{0};
   std::atomic<std::uint64_t> rejected_full_{0};

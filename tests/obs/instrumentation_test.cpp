@@ -1,8 +1,7 @@
 // End-to-end checks that the built-in instrumentation actually lands in the
-// global registry, and that the PeriodicFlusher rides the sim clock.
+// global registry.
 #include <gtest/gtest.h>
 
-#include "obs/flush.h"
 #include "obs/metrics.h"
 #include "sim/kernel.h"
 
@@ -49,50 +48,6 @@ TEST(KernelInstrumentation, DisabledTelemetryRecordsNothing) {
 
   EXPECT_EQ(counter_value(registry.snapshot(), "mgrid_kernel_events_total"),
             before);
-}
-
-TEST(PeriodicFlusherTest, FlushesOnTheSimClock) {
-  ScopedEnable on;
-  sim::SimulationKernel kernel;
-  MetricsRegistry registry;
-  Counter ticks = registry.counter("flusher_ticks_total");
-
-  std::vector<std::pair<SimTime, std::uint64_t>> flushes;
-  PeriodicFlusher flusher(
-      kernel, registry, 10.0, 10.0,
-      [&flushes](SimTime t, const MetricsSnapshot& snapshot) {
-        const MetricSample* sample = snapshot.find("flusher_ticks_total");
-        flushes.emplace_back(
-            t, sample == nullptr
-                   ? 0
-                   : static_cast<std::uint64_t>(sample->value));
-      });
-  kernel.schedule_periodic(1.0, 1.0, [&ticks](SimTime) { ticks.inc(); });
-
-  kernel.run_until(35.0);
-  flusher.stop();
-  kernel.run_until(60.0);  // no more flushes after stop()
-
-  ASSERT_EQ(flushes.size(), 3u);
-  EXPECT_DOUBLE_EQ(flushes[0].first, 10.0);
-  EXPECT_DOUBLE_EQ(flushes[1].first, 20.0);
-  EXPECT_DOUBLE_EQ(flushes[2].first, 30.0);
-  // Snapshot at t=10 has seen ticks at 1..10 (periodic fires before the
-  // flush event at equal time only if scheduled earlier — accept 9..10).
-  EXPECT_GE(flushes[0].second, 9u);
-  EXPECT_LE(flushes[0].second, 10u);
-  EXPECT_EQ(flusher.flush_count(), 3u);
-}
-
-TEST(PeriodicFlusherTest, StopIsIdempotent) {
-  sim::SimulationKernel kernel;
-  MetricsRegistry registry;
-  PeriodicFlusher flusher(kernel, registry, 1.0, 1.0,
-                          [](SimTime, const MetricsSnapshot&) {});
-  flusher.stop();
-  flusher.stop();
-  kernel.run_until(5.0);
-  EXPECT_EQ(flusher.flush_count(), 0u);
 }
 
 }  // namespace

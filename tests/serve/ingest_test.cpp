@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -202,6 +203,107 @@ TEST(IngestPipeline, ConcurrentProducersAllLand) {
   pipeline.stop();
 }
 
+TEST(IngestPipeline, LoneLuBecomesVisibleWithoutFlush) {
+  // A quiet server: each LU lands on a worker that has parked, so only the
+  // submit's ring can get it applied. A lost ring shows as a timeout.
+  ShardedDirectory directory(directory_options());
+  IngestOptions options;
+  options.sources = 3;
+  options.workers = 3;
+  IngestPipeline pipeline(directory, options);
+  const auto visible = [&](std::uint32_t mn, double t) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    while (std::chrono::steady_clock::now() < deadline) {
+      const auto entry = directory.lookup(mn);
+      if (entry.has_value() && entry->t == t) return true;
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    return false;
+  };
+  for (int round = 1; round <= 3; ++round) {
+    const double t = static_cast<double>(round);
+    for (std::uint32_t mn = 0; mn < 3; ++mn) {
+      // Long past any linger: the owning worker is parked by now.
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      ASSERT_TRUE(pipeline.submit(lu(mn, t, t, 0.0)));
+      EXPECT_TRUE(visible(mn, t)) << "mn " << mn << " round " << round;
+    }
+  }
+  pipeline.stop();  // the counters trail the apply a lookup sees
+  EXPECT_EQ(pipeline.stats().applied, 9u);
+}
+
+TEST(IngestPipeline, ConcurrentFlushReachesSerialReplayState) {
+  // Producers and a second thread calling flush() over and over: flushing
+  // callers and workers take batches from the same queues, and per-MN
+  // order must survive that for any worker count.
+  constexpr std::uint32_t kProducers = 3;
+  constexpr std::uint32_t kNodesPerProducer = 40;
+  constexpr int kTicks = 30;
+  std::vector<std::vector<wire::LuMsg>> streams(kProducers);
+  for (int k = 1; k <= kTicks; ++k) {
+    for (std::uint32_t p = 0; p < kProducers; ++p) {
+      for (std::uint32_t i = 0; i < kNodesPerProducer; ++i) {
+        const std::uint32_t mn = p * kNodesPerProducer + i;
+        streams[p].push_back(lu(mn, static_cast<double>(k),
+                                static_cast<double>(mn * 7 + k),
+                                static_cast<double>(k % 5)));
+      }
+    }
+  }
+  // Serial reference: each producer's stream applied in order (producers
+  // own disjoint MNs, so their interleaving does not matter).
+  ShardedDirectory reference(directory_options());
+  for (const std::vector<wire::LuMsg>& stream : streams) {
+    for (const wire::LuMsg& msg : stream) {
+      ASSERT_TRUE(reference.update(msg.mn, msg.t, {msg.x, msg.y},
+                                   {msg.vx, msg.vy}));
+    }
+  }
+  const std::vector<DirectoryEntry> expected = reference.snapshot();
+
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+    ShardedDirectory directory(directory_options());
+    IngestOptions options;
+    options.sources = 4;
+    options.workers = workers;
+    options.batch_size = 8;
+    IngestPipeline pipeline(directory, options);
+    std::atomic<bool> producing{true};
+    std::thread flusher([&] {
+      while (producing.load()) pipeline.flush();
+    });
+    std::vector<std::thread> producers;
+    for (const std::vector<wire::LuMsg>& stream : streams) {
+      producers.emplace_back([&pipeline, &stream] {
+        for (const wire::LuMsg& msg : stream) {
+          EXPECT_TRUE(pipeline.submit(msg));
+        }
+      });
+    }
+    for (std::thread& producer : producers) producer.join();
+    producing.store(false);
+    flusher.join();
+    pipeline.flush();
+
+    const IngestStats stats = pipeline.stats();
+    EXPECT_EQ(stats.accepted, kProducers * kNodesPerProducer * kTicks);
+    EXPECT_EQ(stats.applied, stats.accepted) << "workers=" << workers;
+    EXPECT_EQ(stats.rejected_stale, 0u) << "an LU overtook an older one";
+    EXPECT_EQ(pipeline.pending(), 0u);
+    const std::vector<DirectoryEntry> actual = directory.snapshot();
+    ASSERT_EQ(actual.size(), expected.size());
+    for (std::size_t j = 0; j < actual.size(); ++j) {
+      EXPECT_EQ(actual[j].mn, expected[j].mn);
+      EXPECT_EQ(actual[j].t, expected[j].t);
+      EXPECT_EQ(actual[j].position.x, expected[j].position.x);
+      EXPECT_EQ(actual[j].position.y, expected[j].position.y);
+    }
+    pipeline.stop();
+  }
+}
+
 TEST(IngestPipeline, ReportsQueueDepthsAndPending) {
   ShardedDirectory directory(directory_options());
   IngestOptions options;
@@ -249,9 +351,26 @@ TEST(IngestPipeline, BackpressureTelemetryLandsInTheOwnersRegistry) {
   // One stale LU on queue 1 (timestamp regression for mn 1).
   ASSERT_TRUE(pipeline.submit(lu(1, 5.0, 0.0, 0.0)));
   ASSERT_TRUE(pipeline.submit(lu(1, 4.0, 0.0, 0.0)));
-  pipeline.flush();
+  // Flush from a thread whose current registry is another one: the LUs the
+  // flushing caller applies must still count in the owner's registry.
+  obs::MetricsRegistry other;
+  std::thread flusher([&] {
+    const obs::ScopedRegistry elsewhere(other);
+    pipeline.flush();
+  });
+  flusher.join();
+  const obs::MetricsSnapshot stray = other.snapshot();
+  for (const char* name :
+       {"mgrid_serve_updates_total", "mgrid_serve_updates_rejected_total"}) {
+    const obs::MetricSample* sample = stray.find(name);
+    EXPECT_TRUE(sample == nullptr || sample->value == 0.0)
+        << name << " leaked into the flushing thread's registry";
+  }
 
   const obs::MetricsSnapshot snapshot = registry.snapshot();
+  const obs::MetricSample* updates = snapshot.find("mgrid_serve_updates_total");
+  ASSERT_NE(updates, nullptr);
+  EXPECT_DOUBLE_EQ(updates->value, 9.0);
   const obs::MetricSample* accepted =
       snapshot.find("mgrid_ingest_accepted_total");
   ASSERT_NE(accepted, nullptr);
