@@ -1,9 +1,12 @@
 // Micro-benchmarks (google-benchmark) of every hot component: the distance
-// filter, classifier, clusterer, estimators, event queue, region lookup,
-// Dijkstra routing, the federation transport, the mobility federate's
-// per-MN-tick glue and a full federation cycle. These quantify the ADF's
+// filter, classifier, clusterer, estimators, the serving directory's
+// per-tick estimate sweep, event queue, region lookup, Dijkstra routing,
+// the federation transport, the mobility federate's per-MN-tick glue and a
+// full federation cycle. These quantify the ADF's
 // processing cost — the overhead budget a real deployment would pay per LU.
 #include <benchmark/benchmark.h>
+
+#include <vector>
 
 #include "core/adf.h"
 #include "core/baselines.h"
@@ -12,11 +15,13 @@
 #include "core/distance_filter.h"
 #include "estimation/ar_estimator.h"
 #include "estimation/brown_estimator.h"
+#include "estimation/estimator.h"
 #include "geo/campus.h"
 #include "net/gateway.h"
 #include "scenario/experiment.h"
 #include "scenario/federates.h"
 #include "scenario/workload.h"
+#include "serve/directory.h"
 #include "sim/event_queue.h"
 #include "sim/federation.h"
 #include "util/rng.h"
@@ -156,6 +161,55 @@ void BM_ArEstimate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ArEstimate);
+
+void BM_DirectoryAdvance(benchmark::State& state) {
+  // The broker's per-tick location estimation as the serving directory
+  // runs it: 8000 MNs with brown_polar, about 44% of them silent each tick
+  // (the share ADF 1.0 av filters on serve_standalone), so each sweep
+  // forecasts ~3500 tracks and moves them in the region index. Between
+  // timed sweeps an untimed pass applies the tick's LUs. The argument is
+  // the shard count: 8 sweeps on parked helpers as serve_standalone does,
+  // 1 sweeps on the calling thread alone (the serial cost per forecast).
+  constexpr std::uint32_t kMns = 8000;
+  constexpr double kStaleShare = 0.44;
+  serve::DirectoryOptions options;
+  options.shards = static_cast<std::size_t>(state.range(0));
+  serve::ShardedDirectory directory(options,
+                                    estimation::make_estimator("brown_polar"));
+  util::RngStream rng(8);
+  std::vector<geo::Vec2> position(kMns);
+  std::vector<geo::Vec2> velocity(kMns);
+  for (std::uint32_t mn = 0; mn < kMns; ++mn) {
+    position[mn] = {rng.uniform(0.0, 2000.0), rng.uniform(0.0, 2000.0)};
+    velocity[mn] = {rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)};
+    directory.update(mn, 0.0, position[mn], velocity[mn]);
+  }
+  SimTime t = 0.0;
+  std::size_t estimates = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    t += 1.0;
+    for (std::uint32_t mn = 0; mn < kMns; ++mn) {
+      velocity[mn] += geo::Vec2{rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3)};
+      position[mn] += velocity[mn];
+      if (rng.uniform(0.0, 1.0) >= kStaleShare) {
+        directory.update(mn, t, position[mn], velocity[mn]);
+      }
+    }
+    state.ResumeTiming();
+    estimates += directory.advance_estimates(t);
+  }
+  state.counters["estimates_per_tick"] =
+      static_cast<double>(estimates) / static_cast<double>(state.iterations());
+  state.counters["ns_per_estimate"] = benchmark::Counter(
+      static_cast<double>(estimates),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_DirectoryAdvance)
+    ->Arg(8)
+    ->Arg(1)
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_EventQueueScheduleAndPop(benchmark::State& state) {
   sim::EventQueue queue;

@@ -24,7 +24,7 @@ struct BrokerStats {
 
 class GridBroker {
  public:
-  /// `estimator_prototype` is cloned per MN; pass nullptr to disable
+  /// `estimator_prototype` is copied per MN; pass nullptr to disable
   /// location estimation entirely.
   explicit GridBroker(
       std::unique_ptr<estimation::LocationEstimator> estimator_prototype =
@@ -79,7 +79,7 @@ class GridBroker {
                                                Duration timeout) const;
 
  private:
-  // Declared before db_: the DB clones the prototype per MN and keeps a
+  // Declared before db_: the DB copies the prototype per MN and keeps a
   // non-owning pointer to it.
   std::unique_ptr<estimation::LocationEstimator> prototype_;
   LocationDb db_;

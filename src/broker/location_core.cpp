@@ -2,15 +2,51 @@
 
 #include <algorithm>
 #include <cmath>
+#include <type_traits>
+#include <typeinfo>
 #include <utility>
 
 #include "obs/eventlog.h"
 
 namespace mgrid::broker {
 
+static_assert(std::is_nothrow_move_constructible_v<MnTrack>,
+              "the slot vector relocates tracks by move");
+
+namespace {
+
+/// Copies `prototype` into the alternative of `out` whose type it has
+/// exactly; false when no alternative is an estimator of its type.
+template <typename... Alt>
+bool copy_inline(const estimation::LocationEstimator& prototype,
+                 std::variant<Alt...>& out) {
+  const auto copy = [&]<typename E>() {
+    if constexpr (std::is_base_of_v<estimation::LocationEstimator, E>) {
+      if (typeid(prototype) != typeid(E)) return false;
+      out.template emplace<E>(static_cast<const E&>(prototype));
+      return true;
+    } else {
+      return false;
+    }
+  };
+  return (copy.template operator()<Alt>() || ...);
+}
+
+}  // namespace
+
+MnTrack::Estimator MnTrack::copy_estimator(
+    const estimation::LocationEstimator* prototype) {
+  Estimator out;
+  if (prototype == nullptr) return out;
+  if (!copy_inline(*prototype, out)) {
+    out.emplace<HeapEstimator>(prototype->clone());
+  }
+  return out;
+}
+
 MnTrack::MnTrack(std::uint32_t mn,
-                 std::unique_ptr<estimation::LocationEstimator> estimator)
-    : mn_(mn), estimator_(std::move(estimator)) {}
+                 const estimation::LocationEstimator* prototype)
+    : mn_(mn), estimator_(copy_estimator(prototype)) {}
 
 bool MnTrack::apply_update(SimTime t, geo::Vec2 position, geo::Vec2 velocity) {
   if (!std::isfinite(t) || !std::isfinite(position.x) ||
@@ -23,7 +59,9 @@ bool MnTrack::apply_update(SimTime t, geo::Vec2 position, geo::Vec2 velocity) {
   record_.last_reported = fix;
   record_.current_view = fix;
   has_report_ = true;
-  if (estimator_ != nullptr) estimator_->observe(t, position, velocity);
+  if (has_estimator()) {
+    with_estimator([&](auto& e) { e.observe(t, position, velocity); });
+  }
   if (obs::eventlog_enabled()) {
     obs::evt::broker_received(mn_, t, velocity.x, velocity.y);
   }
@@ -32,17 +70,18 @@ bool MnTrack::apply_update(SimTime t, geo::Vec2 position, geo::Vec2 velocity) {
 
 std::optional<geo::Vec2> MnTrack::advance(SimTime t) {
   if (!stale_at(t)) return std::nullopt;
-  const geo::Vec2 estimate = estimator_->estimate(t);
+  const geo::Vec2 estimate =
+      with_estimator([t](const auto& e) { return e.estimate(t); });
   record_.current_view = LocationFix{t, estimate, {}, /*estimated=*/true};
   if (obs::eventlog_enabled()) obs::evt::broker_estimated(mn_, t);
   return estimate;
 }
 
 geo::Vec2 MnTrack::belief_at(SimTime t) const {
-  if (estimator_ == nullptr || record_.last_reported.t >= t) {
+  if (!has_estimator() || record_.last_reported.t >= t) {
     return record_.last_reported.position;
   }
-  return estimator_->estimate(t);
+  return with_estimator([t](const auto& e) { return e.estimate(t); });
 }
 
 namespace {
@@ -73,9 +112,9 @@ bool MnTrack::save_state(std::vector<double>& out) const {
   out.push_back(has_report_ ? 1.0 : 0.0);
   save_fix(out, record_.last_reported);
   save_fix(out, record_.current_view);
-  out.push_back(estimator_ != nullptr ? 1.0 : 0.0);
-  if (estimator_ != nullptr) return estimator_->save_state(out);
-  return true;
+  out.push_back(has_estimator() ? 1.0 : 0.0);
+  if (!has_estimator()) return true;
+  return with_estimator([&out](const auto& e) { return e.save_state(out); });
 }
 
 bool MnTrack::load_state(const double*& it, const double* end) {
@@ -89,33 +128,42 @@ bool MnTrack::load_state(const double*& it, const double* end) {
   const bool saved_with_estimator = *it++ != 0.0;
   // The estimator flag must match this track's configuration, or the
   // snapshot was written for a differently-configured deployment.
-  if (saved_with_estimator != (estimator_ != nullptr)) return false;
-  if (estimator_ != nullptr) return estimator_->load_state(it, end);
-  return true;
+  if (saved_with_estimator != has_estimator()) return false;
+  if (!has_estimator()) return true;
+  return with_estimator([&](auto& e) { return e.load_state(it, end); });
 }
 
-MnTrack TrackStore::make_track(std::uint32_t mn) const {
-  return MnTrack(mn, prototype_ != nullptr ? prototype_->clone() : nullptr);
+std::uint32_t TrackStore::open_slot(std::uint32_t mn) {
+  const std::uint32_t slot = slots_.insert(MnId{mn});
+  if (slot == tracks_.size()) {
+    tracks_.emplace_back(mn, prototype_);
+    present_.push_back(0);
+  } else if (present_[slot] == 0) {
+    // A failed restore may have left words in the absent track.
+    tracks_[slot] = MnTrack(mn, prototype_);
+  }
+  return slot;
 }
 
 bool TrackStore::apply_update(std::uint32_t mn, SimTime t, geo::Vec2 position,
                               geo::Vec2 velocity) {
-  auto it = tracks_.find(mn);
-  if (it == tracks_.end()) it = tracks_.emplace(mn, make_track(mn)).first;
-  if (it->second.apply_update(t, position, velocity)) return true;
-  if (!it->second.has_report()) tracks_.erase(it);
-  return false;
+  const std::uint32_t slot = open_slot(mn);
+  if (!tracks_[slot].apply_update(t, position, velocity)) return false;
+  mark_present(slot);
+  return true;
 }
 
 std::size_t TrackStore::advance(SimTime t, const OnEstimate& on_estimate) {
+  if (prototype_ == nullptr) return 0;  // no track has an estimator
   std::size_t made = 0;
   const bool eventlog = obs::eventlog_enabled();
-  for (auto& [mn, track] : tracks_) {
-    if (!track.stale_at(t)) continue;
-    if (eventlog) obs::evt::set_cursor(mn, t);
+  for (std::uint32_t slot = 0; slot < tracks_.size(); ++slot) {
+    MnTrack& track = tracks_[slot];
+    if (present_[slot] == 0 || !track.stale_at(t)) continue;
+    if (eventlog) obs::evt::set_cursor(track.mn(), t);
     const geo::Vec2 estimate = *track.advance(t);  // stale, so it estimates
     ++made;
-    if (on_estimate) on_estimate(mn, estimate);
+    if (on_estimate) on_estimate(slot, estimate);
   }
   if (eventlog) obs::evt::clear_cursor();
   return made;
@@ -123,21 +171,17 @@ std::size_t TrackStore::advance(SimTime t, const OnEstimate& on_estimate) {
 
 const MnTrack* TrackStore::restore(std::uint32_t mn, const double*& it,
                                    const double* end) {
-  if (tracks_.count(mn) != 0) return nullptr;
-  MnTrack track = make_track(mn);
-  if (!track.load_state(it, end)) return nullptr;
-  return &tracks_.emplace(mn, std::move(track)).first->second;
-}
-
-const MnTrack* TrackStore::find(std::uint32_t mn) const {
-  const auto it = tracks_.find(mn);
-  return it == tracks_.end() ? nullptr : &it->second;
+  if (slot_of(mn) != kNoSlot) return nullptr;
+  const std::uint32_t slot = open_slot(mn);
+  if (!tracks_[slot].load_state(it, end)) return nullptr;
+  mark_present(slot);
+  return &tracks_[slot];
 }
 
 std::vector<const MnTrack*> TrackStore::sorted() const {
   std::vector<const MnTrack*> out;
-  out.reserve(tracks_.size());
-  for (const auto& [mn, track] : tracks_) out.push_back(&track);
+  out.reserve(size_);
+  for_each([&out](const MnTrack& track) { out.push_back(&track); });
   std::sort(out.begin(), out.end(), [](const MnTrack* a, const MnTrack* b) {
     return a->mn() < b->mn();
   });

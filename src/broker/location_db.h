@@ -3,8 +3,8 @@
 // A broker::TrackStore (see broker/location_core.h) behind the MnId API:
 // per MN the last *reported* fix, the broker's *current view* (reported or
 // estimated) and — when an estimator prototype is attached — the per-MN
-// location estimator clone. The online serving layer's directory shards
-// are the same store.
+// location estimator, held inline in the track's slot. The online serving
+// layer's directory shards are the same store.
 #pragma once
 
 #include <optional>
@@ -20,7 +20,7 @@ namespace mgrid::broker {
 class LocationDb {
  public:
   /// `estimator_prototype` (not owned; may be nullptr, must outlive the DB)
-  /// is cloned per MN on its first update so advance_estimates() /
+  /// is copied per MN on its first update so advance_estimates() /
   /// belief_at() can forecast.
   explicit LocationDb(
       const estimation::LocationEstimator* estimator_prototype = nullptr)
@@ -61,7 +61,9 @@ class LocationDb {
 
   /// All known MNs, sorted by id (deterministic iteration for callers).
   [[nodiscard]] std::vector<MnId> known_nodes() const;
-  /// Visits every MN's track in storage order (no sort, no copy).
+  /// Visits every MN's track in slot order (no sort, no copy). `fn` must
+  /// not update the DB: a track reference is valid only until the next
+  /// record_update().
   template <typename Fn>
   void for_each_track(Fn&& fn) const {
     store_.for_each(std::forward<Fn>(fn));

@@ -253,22 +253,24 @@ std::int64_t ShardedDirectory::cell_coord(double v) const noexcept {
   return static_cast<std::int64_t>(c);
 }
 
-void ShardedDirectory::index_position(Shard& shard, std::uint32_t mn,
+void ShardedDirectory::index_position(Shard& shard, std::uint32_t slot,
                                       geo::Vec2 position) {
   const std::int64_t cx = cell_coord(position.x);
   const std::int64_t cy = cell_coord(position.y);
   const std::int64_t key = pack_key(cx, cy);
-  auto it = shard.cell_of.find(mn);
-  if (it != shard.cell_of.end()) {
-    if (it->second == key) return;
-    std::vector<std::uint32_t>& old_cell = shard.cells[it->second];
-    old_cell.erase(std::find(old_cell.begin(), old_cell.end(), mn));
-    if (old_cell.empty()) shard.cells.erase(it->second);
-    it->second = key;
-  } else {
-    shard.cell_of.emplace(mn, key);
+  if (slot >= shard.cell_of.size()) {
+    shard.cell_of.resize(std::size_t{slot} + 1);
   }
-  shard.cells[key].push_back(mn);
+  std::optional<std::int64_t>& cell = shard.cell_of[slot];
+  if (cell.has_value()) {
+    if (*cell == key) return;
+    const auto old_cell = shard.cells.find(*cell);
+    std::vector<std::uint32_t>& slots = old_cell->second;
+    slots.erase(std::find(slots.begin(), slots.end(), slot));
+    if (slots.empty()) shard.cells.erase(old_cell);
+  }
+  cell = key;
+  shard.cells[key].push_back(slot);
   if (!shard.has_bounds) {
     shard.has_bounds = true;
     shard.lo_cx = shard.hi_cx = cx;
@@ -285,7 +287,7 @@ bool ShardedDirectory::apply_locked(Shard& shard, const LuApply& lu) {
   if (!shard.store.apply_update(lu.mn, lu.t, lu.position, lu.velocity)) {
     return false;
   }
-  index_position(shard, lu.mn, lu.position);
+  index_position(shard, shard.store.slot_of(lu.mn), lu.position);
   return true;
 }
 
@@ -308,17 +310,24 @@ bool ShardedDirectory::update(std::uint32_t mn, SimTime t, geo::Vec2 position,
 }
 
 std::size_t ShardedDirectory::apply_batch(const std::vector<LuApply>& batch) {
-  // Bucket indices by destination shard, then take each shard lock once.
-  std::vector<std::vector<std::size_t>> buckets(shards_.size());
+  // Each LU's shard, in a per-thread scratch reused across batches. Each
+  // pass takes the shard of the first LU not yet applied, locks it once and
+  // applies that shard's LUs in batch order, so per-MN order holds.
+  constexpr std::uint32_t kDone = std::numeric_limits<std::uint32_t>::max();
+  thread_local std::vector<std::uint32_t> shard_of;
+  shard_of.resize(batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    buckets[batch[i].mn % shards_.size()].push_back(i);
+    shard_of[i] = static_cast<std::uint32_t>(batch[i].mn % shards_.size());
   }
   std::size_t applied = 0;
-  for (std::size_t s = 0; s < buckets.size(); ++s) {
-    if (buckets[s].empty()) continue;
+  for (std::size_t first = 0; first < batch.size(); ++first) {
+    const std::uint32_t s = shard_of[first];
+    if (s == kDone) continue;
     Shard& shard = *shards_[s];
     const std::lock_guard<std::mutex> lock(shard.mutex);
-    for (std::size_t i : buckets[s]) {
+    for (std::size_t i = first; i < batch.size(); ++i) {
+      if (shard_of[i] != s) continue;
+      shard_of[i] = kDone;
       if (apply_locked(shard, batch[i])) ++applied;
     }
   }
@@ -362,8 +371,8 @@ std::optional<geo::Vec2> ShardedDirectory::belief_at(std::uint32_t mn,
 
 std::size_t ShardedDirectory::advance_shard(Shard& shard, SimTime t) {
   const std::lock_guard<std::mutex> lock(shard.mutex);
-  return shard.store.advance(t, [&](std::uint32_t mn, geo::Vec2 estimate) {
-    index_position(shard, mn, estimate);
+  return shard.store.advance(t, [&](std::uint32_t slot, geo::Vec2 estimate) {
+    index_position(shard, slot, estimate);
   });
 }
 
@@ -389,11 +398,12 @@ void ShardedDirectory::scan_cell(const Shard& shard, std::int64_t key,
   auto cell = shard.cells.find(key);
   if (cell == shard.cells.end()) return;
   const double radius_sq = radius * radius;
-  for (std::uint32_t mn : cell->second) {
-    // The index holds only tracked MNs: a track is never erased once
+  for (std::uint32_t slot : cell->second) {
+    // The index holds only present slots: a track is never erased once
     // indexed.
-    const geo::Vec2 position =
-        shard.store.find(mn)->record().current_view.position;
+    const broker::MnTrack& track = shard.store.track(slot);
+    const std::uint32_t mn = track.mn();
+    const geo::Vec2 position = track.record().current_view.position;
     const geo::Vec2 d = position - center;
     const double dist_sq = d.x * d.x + d.y * d.y;
     if (std::isinf(dist_sq)) {
@@ -423,7 +433,7 @@ std::vector<Neighbor> ShardedDirectory::query_region(
       const std::lock_guard<std::mutex> lock(shard->mutex);
       if (range_cells > static_cast<double>(shard->cells.size())) {
         // Fewer occupied cells than cells in range: walk the index instead.
-        for (const auto& [key, mns] : shard->cells) {
+        for (const auto& [key, slots] : shard->cells) {
           const std::int64_t cx = key_x(key);
           const std::int64_t cy = key_y(key);
           if (cx < lo_x || cx > hi_x || cy < lo_y || cy > hi_y) continue;
@@ -490,7 +500,7 @@ void ShardedDirectory::nearest_in_shard(const Shard& shard, geo::Vec2 center,
       // The ring has more cells than the shard has occupied ones: scan
       // every occupied cell this and later rings would reach, once, and
       // make this the last pass.
-      for (const auto& [key, mns] : shard.cells) {
+      for (const auto& [key, slots] : shard.cells) {
         if (ring_of(key_x(key), key_y(key)) >= ring) {
           scan_cell(shard, key, center, unlimited, hits);
         }
@@ -616,7 +626,8 @@ bool ShardedDirectory::restore_track(std::uint32_t mn, const double*& it,
   const broker::MnTrack* track = shard.store.restore(mn, it, end);
   if (track == nullptr) return false;
   if (track->has_report()) {
-    index_position(shard, mn, track->record().current_view.position);
+    index_position(shard, shard.store.slot_of(mn),
+                   track->record().current_view.position);
   }
   return true;
 }

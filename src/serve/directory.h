@@ -5,8 +5,10 @@
 // each shard is one broker::TrackStore (the location DB the federation
 // broker uses), a region index (uniform grid of cells over current-view
 // positions) and a monotonically-grown bounding box used to terminate
-// k-nearest ring expansion. All public operations are safe to call
-// concurrently from any thread; an operation locks exactly the shards it
+// k-nearest ring expansion. The region index names tracks by their store
+// slot: each cell lists slots, and `cell_of` is a vector indexed by slot,
+// so moving a track after an LU or an estimate costs no hash lookup by
+// MN. All public operations are safe to call concurrently from any thread; an operation locks exactly the shards it
 // touches, so updates and lookups for MNs on different shards never
 // contend.
 //
@@ -68,7 +70,7 @@ struct Neighbor {
 
 class ShardedDirectory {
  public:
-  /// `estimator_prototype` (may be nullptr: estimation disabled) is cloned
+  /// `estimator_prototype` (may be nullptr: estimation disabled) is copied
   /// per MN on first update (broker::TrackStore).
   explicit ShardedDirectory(
       DirectoryOptions options,
@@ -180,8 +182,8 @@ class ShardedDirectory {
   void for_each_track(
       const std::function<void(const broker::MnTrack&)>& fn) const;
 
-  /// Re-creates one track from snapshot state: constructs it with this
-  /// directory's estimator prototype clone, loads the serialized words and
+  /// Re-creates one track from snapshot state: constructs it from this
+  /// directory's estimator prototype, loads the serialized words and
   /// indexes the restored current view. Returns false (track not inserted)
   /// on malformed state or when the MN already exists.
   bool restore_track(std::uint32_t mn, const double*& it, const double* end);
@@ -192,10 +194,13 @@ class ShardedDirectory {
         : store(prototype) {}
     mutable std::mutex mutex;
     broker::TrackStore store;
-    /// Region index: cell key -> MNs whose current view lies in the cell.
+    /// Region index: cell key -> store slots of the tracks whose current
+    /// view lies in the cell.
     std::unordered_map<std::int64_t, std::vector<std::uint32_t>> cells;
-    /// Current cell of each indexed MN.
-    std::unordered_map<std::uint32_t, std::int64_t> cell_of;
+    /// Current cell of each store slot, indexed by slot; empty until the
+    /// slot's track is first indexed (every int64 is a reachable cell key,
+    /// so no key can stand for "none").
+    std::vector<std::optional<std::int64_t>> cell_of;
     /// Monotonically grown bounds, in cell coordinates, of every cell ever
     /// indexed; used only to bound k-nearest ring expansion, so
     /// over-approximation is safe.
@@ -211,8 +216,9 @@ class ShardedDirectory {
   /// Cell coordinate of `v` metres, saturated to the int32 range (NaN maps
   /// to the low edge), so no double -> integer conversion is out of range.
   [[nodiscard]] std::int64_t cell_coord(double v) const noexcept;
-  /// Moves `mn` to the cell of `position` (caller holds the shard lock).
-  void index_position(Shard& shard, std::uint32_t mn, geo::Vec2 position);
+  /// Moves the track in store slot `slot` to the cell of `position`
+  /// (caller holds the shard lock).
+  void index_position(Shard& shard, std::uint32_t slot, geo::Vec2 position);
   /// Advances every stale track of one shard (takes the shard lock).
   std::size_t advance_shard(Shard& shard, SimTime t);
   /// The k nearest hits within one shard (caller holds the shard lock).

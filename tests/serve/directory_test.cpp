@@ -24,6 +24,8 @@
 namespace mgrid::serve {
 namespace {
 
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
 DirectoryOptions small_options(std::size_t shards = 4) {
   DirectoryOptions options;
   options.shards = shards;
@@ -609,6 +611,154 @@ TEST(ShardedDirectory, DestroysBeforeAndAfterFirstAdvance) {
     ASSERT_TRUE(directory.update(1, 1.0, {0.0, 0.0}, {1.0, 0.0}));
     EXPECT_EQ(directory.advance_estimates(2.0), 1u);
   }
+}
+
+TEST(ShardedDirectory, ApplyBatchKeepsPerMnOrderAcrossShards) {
+  // MNs of several shards interleaved, each MN's LUs in time order but one
+  // regression in the middle: the batch must apply exactly what the same
+  // LUs applied one by one would.
+  const std::vector<ShardedDirectory::LuApply> batch = {
+      {5, 1.0, {1.0, 0.0}, {0.0, 0.0}}, {1, 1.0, {2.0, 0.0}, {0.0, 0.0}},
+      {5, 2.0, {3.0, 0.0}, {0.0, 0.0}}, {2, 1.0, {kNaN, 0.0}, {0.0, 0.0}},
+      {9, 1.0, {4.0, 0.0}, {0.0, 0.0}}, {5, 1.5, {5.0, 0.0}, {0.0, 0.0}},
+      {1, 3.0, {6.0, 0.0}, {0.0, 0.0}}, {2, 2.0, {7.0, 0.0}, {0.0, 0.0}},
+      {9, 4.0, {8.0, 0.0}, {0.0, 0.0}}, {5, 3.0, {9.0, 0.0}, {0.0, 0.0}}};
+  ShardedDirectory one_by_one(small_options(4));
+  std::size_t applied = 0;
+  for (const ShardedDirectory::LuApply& lu : batch) {
+    if (one_by_one.update(lu.mn, lu.t, lu.position, lu.velocity)) ++applied;
+  }
+  ASSERT_EQ(applied, 8u);
+  ShardedDirectory batched(small_options(4));
+  EXPECT_EQ(batched.apply_batch(batch), applied);
+  EXPECT_EQ(batched.size(), one_by_one.size());
+  for (const std::uint32_t mn : {1u, 2u, 5u, 9u}) {
+    const auto a = one_by_one.lookup(mn);
+    const auto b = batched.lookup(mn);
+    ASSERT_TRUE(a && b) << mn;
+    EXPECT_EQ(a->t, b->t) << mn;
+    EXPECT_EQ(a->position.x, b->position.x) << mn;
+  }
+  // A second batch reuses the thread's scratch: a shorter one after a
+  // longer one still applies every LU.
+  EXPECT_EQ(batched.apply_batch({{1, 5.0, {1.0, 1.0}, {0.0, 0.0}}}), 1u);
+  EXPECT_EQ(batched.lookup(1)->t, 5.0);
+}
+
+TEST(ShardedDirectory, RejectedFirstLuLeavesNoTrackOrCell) {
+  ShardedDirectory directory(small_options(4),
+                             estimation::make_estimator("brown_polar"));
+  EXPECT_FALSE(directory.update(6, 1.0, {kNaN, 1.0}, {0.0, 0.0}));
+  EXPECT_EQ(directory.apply_batch({{10, 1.0, {1.0, 1.0}, {kNaN, 0.0}}}), 0u);
+  EXPECT_EQ(directory.size(), 0u);
+  EXPECT_FALSE(directory.lookup(6).has_value());
+  EXPECT_FALSE(directory.belief_at(10, 2.0).has_value());
+  EXPECT_TRUE(directory.query_region({0.0, 0.0}, 1e9).empty());
+  EXPECT_TRUE(directory.k_nearest({0.0, 0.0}, 5).empty());
+  EXPECT_TRUE(directory.snapshot().empty());
+  EXPECT_EQ(directory.advance_estimates(2.0), 0u);
+
+  // A later valid LU creates the track and indexes it once.
+  ASSERT_TRUE(directory.update(6, 2.0, {30.0, 40.0}, {1.0, 0.0}));
+  EXPECT_EQ(directory.size(), 1u);
+  const std::vector<Neighbor> hits = directory.query_region({30.0, 40.0}, 1.0);
+  ASSERT_EQ(hits.size(), 1u);
+  EXPECT_EQ(hits[0].mn, 6u);
+  EXPECT_EQ(directory.advance_estimates(3.0), 1u);
+  EXPECT_EQ(directory.query_region({0.0, 0.0}, 1e9).size(), 1u);
+}
+
+/// Snapshot words of every track, from for_each_track.
+std::map<std::uint32_t, std::vector<double>> saved_tracks(
+    const ShardedDirectory& directory) {
+  std::map<std::uint32_t, std::vector<double>> saved;
+  directory.for_each_track([&saved](const broker::MnTrack& track) {
+    ASSERT_TRUE(track.save_state(saved[track.mn()]));
+  });
+  return saved;
+}
+
+TEST(ShardedDirectory, FailedRestoreLeavesNoTrackAndRetrySucceeds) {
+  const auto prototype = estimation::make_estimator("brown_polar");
+  ShardedDirectory source(small_options(4), prototype->clone());
+  ASSERT_TRUE(source.update(7, 1.0, {100.0, 50.0}, {1.0, 0.0}));
+  ASSERT_TRUE(source.update(7, 2.0, {101.0, 50.0}, {1.0, 0.0}));
+  ASSERT_EQ(source.advance_estimates(4.0), 1u);
+  const std::vector<double> words = saved_tracks(source).at(7);
+  const double* const end = words.data() + words.size();
+
+  ShardedDirectory target(small_options(4), prototype->clone());
+  const double* it = words.data();
+  EXPECT_FALSE(target.restore_track(7, it, end - 2));
+  EXPECT_EQ(target.size(), 0u);
+  EXPECT_FALSE(target.lookup(7).has_value());
+  EXPECT_TRUE(target.query_region({100.0, 50.0}, 1e6).empty());
+
+  it = words.data();
+  ASSERT_TRUE(target.restore_track(7, it, end));
+  EXPECT_EQ(target.size(), 1u);
+  it = words.data();
+  EXPECT_FALSE(target.restore_track(7, it, end));  // present: refused
+  EXPECT_EQ(target.size(), 1u);
+
+  const std::vector<Neighbor> hits = target.query_region({103.0, 50.0}, 5.0);
+  ASSERT_EQ(hits.size(), 1u);
+  EXPECT_EQ(hits[0].mn, 7u);
+  EXPECT_EQ(saved_tracks(target), saved_tracks(source));
+  EXPECT_EQ(target.advance_estimates(5.0), source.advance_estimates(5.0));
+  EXPECT_EQ(saved_tracks(target), saved_tracks(source));
+}
+
+TEST(ShardedDirectory, LargeAndMaxMnIdsWorkEndToEnd) {
+  // Ids past the slot index's dense-array limit, and the largest uint32,
+  // take its hash path; every directory operation must still see them.
+  const std::vector<std::uint32_t> ids = {
+      1u, 1u << 20, (1u << 20) + 3, 0x7FFFFFFFu, 0xFFFFFFFEu, 0xFFFFFFFFu};
+  ShardedDirectory directory(small_options(4),
+                             estimation::make_estimator("brown_polar"));
+  std::vector<ShardedDirectory::LuApply> batch;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const geo::Vec2 p{100.0 * static_cast<double>(i), 20.0};
+    ASSERT_TRUE(directory.update(ids[i], 1.0, p, {1.0, 0.0}));
+    batch.push_back({ids[i], 2.0, p + geo::Vec2{1.0, 0.0}, {1.0, 0.0}});
+  }
+  EXPECT_EQ(directory.apply_batch(batch), ids.size());
+  EXPECT_EQ(directory.size(), ids.size());
+  EXPECT_EQ(directory.advance_estimates(4.0), ids.size());
+
+  const std::vector<DirectoryEntry> entries = directory.snapshot();
+  ASSERT_EQ(entries.size(), ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ(entries[i].mn, ids[i]);  // ids are listed ascending
+    EXPECT_TRUE(entries[i].estimated);
+    EXPECT_EQ(entries[i].t, 4.0);
+    const std::optional<DirectoryEntry> entry = directory.lookup(ids[i]);
+    ASSERT_TRUE(entry.has_value());
+    EXPECT_EQ(entry->position.x, entries[i].position.x);
+    ASSERT_TRUE(directory.belief_at(ids[i], 5.0).has_value());
+    const auto bounded = directory.lookup_bounded(ids[i], 5.0, 10.0);
+    ASSERT_TRUE(bounded.has_value());
+    EXPECT_EQ(bounded->entry.mn, ids[i]);
+    // The region index moved the track with its estimate.
+    const std::vector<Neighbor> hits =
+        directory.query_region(entries[i].position, 1.0);
+    ASSERT_EQ(hits.size(), 1u) << ids[i];
+    EXPECT_EQ(hits[0].mn, ids[i]);
+    const std::vector<Neighbor> nearest =
+        directory.k_nearest(entries[i].position, 1);
+    ASSERT_EQ(nearest.size(), 1u);
+    EXPECT_EQ(nearest[0].mn, ids[i]);
+  }
+
+  // Snapshot words restore into a second directory bit for bit.
+  ShardedDirectory restored(small_options(4),
+                            estimation::make_estimator("brown_polar"));
+  for (const auto& [mn, words] : saved_tracks(directory)) {
+    const double* it = words.data();
+    ASSERT_TRUE(restored.restore_track(mn, it, words.data() + words.size()));
+  }
+  EXPECT_EQ(track_words(restored), track_words(directory));
+  EXPECT_EQ(restored.query_region({0.0, 20.0}, 1e4).size(), ids.size());
 }
 
 }  // namespace
