@@ -1,13 +1,16 @@
 // Micro-benchmarks (google-benchmark) of every hot component: the distance
 // filter, classifier, clusterer, estimators, the serving directory's
-// per-tick estimate sweep, event queue, region lookup, Dijkstra routing,
-// the federation transport, the mobility federate's per-MN-tick glue and a
-// full federation cycle. These quantify the ADF's
-// processing cost — the overhead budget a real deployment would pay per LU.
+// per-tick estimate sweep, the cluster ring's owner lookup, event queue,
+// region lookup, Dijkstra routing, the federation transport, the mobility
+// federate's per-MN-tick glue and a full federation cycle. These quantify
+// the ADF's processing cost — the overhead budget a real deployment would
+// pay per LU.
 #include <benchmark/benchmark.h>
 
+#include <string>
 #include <vector>
 
+#include "cluster/ring.h"
 #include "core/adf.h"
 #include "core/baselines.h"
 #include "core/classifier.h"
@@ -210,6 +213,23 @@ BENCHMARK(BM_DirectoryAdvance)
     ->Arg(1)
     ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
+
+void BM_RingOwnerIndex(benchmark::State& state) {
+  // One uncached ring lookup at the router's default shape (64 vnodes per
+  // node, 21 probes per key): the cost an LU paid for routing before the
+  // router memoised ownership per MN. The argument is the node count; keys
+  // sweep 2000 MNs as cluster_2shard does.
+  cluster::HashRing ring;
+  for (std::int64_t i = 0; i < state.range(0); ++i) {
+    ring.add_node("shard-" + std::to_string(i));
+  }
+  std::uint32_t mn = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ring.owner_index(mn));
+    mn = mn + 1 == 2000 ? 0 : mn + 1;
+  }
+}
+BENCHMARK(BM_RingOwnerIndex)->Arg(2)->Arg(8);
 
 void BM_EventQueueScheduleAndPop(benchmark::State& state) {
   sim::EventQueue queue;

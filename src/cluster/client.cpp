@@ -255,14 +255,25 @@ bool ShardClient::send_lus(const std::vector<wire::LuMsg>& batch) {
   return conn_.send(scratch_);
 }
 
-bool ShardClient::tick(double t, std::uint64_t tick) {
+bool ShardClient::send_tick(double t, std::uint64_t tick) {
   scratch_.clear();
   wire::encode(scratch_, wire::TickMsg{t, tick});
-  if (!conn_.send(scratch_)) return false;
+  return conn_.send(scratch_);
+}
+
+bool ShardClient::await_tick_ack(double t) {
   wire::Message reply;
   if (!conn_.recv_message(reply)) return false;
-  return std::holds_alternative<wire::AckMsg>(reply) &&
-         std::get<wire::AckMsg>(reply).status == wire::AckStatus::kOk;
+  const auto* ack = std::get_if<wire::AckMsg>(&reply);
+  if (ack == nullptr || ack->t != t) {
+    conn_.close();  // not this barrier's ack: the stream is out of step
+    return false;
+  }
+  return ack->status == wire::AckStatus::kOk;
+}
+
+bool ShardClient::tick(double t, std::uint64_t tick) {
+  return send_tick(t, tick) && await_tick_ack(t);
 }
 
 std::optional<wire::LookupReplyMsg> ShardClient::lookup(std::uint32_t mn,
@@ -272,41 +283,51 @@ std::optional<wire::LookupReplyMsg> ShardClient::lookup(std::uint32_t mn,
   if (!conn_.send(scratch_)) return std::nullopt;
   wire::Message reply;
   if (!conn_.recv_message(reply)) return std::nullopt;
-  if (!std::holds_alternative<wire::LookupReplyMsg>(reply)) {
+  const auto* found = std::get_if<wire::LookupReplyMsg>(&reply);
+  if (found == nullptr || found->mn != mn) {
     conn_.close();
     return std::nullopt;
   }
-  return std::get<wire::LookupReplyMsg>(reply);
+  return *found;
+}
+
+bool ShardClient::send_query(const wire::RegionQueryMsg& query) {
+  scratch_.clear();
+  wire::encode(scratch_, query);
+  return conn_.send(scratch_);
+}
+
+bool ShardClient::send_query(const wire::NearestQueryMsg& query) {
+  scratch_.clear();
+  wire::encode(scratch_, query);
+  return conn_.send(scratch_);
 }
 
 bool ShardClient::query_region(const wire::RegionQueryMsg& query,
                                std::vector<wire::NeighborMsg>& out) {
-  scratch_.clear();
-  wire::encode(scratch_, query);
-  if (!conn_.send(scratch_)) return false;
-  return read_neighbor_stream(out);
+  return send_query(query) && read_neighbor_stream(out);
 }
 
 bool ShardClient::k_nearest(const wire::NearestQueryMsg& query,
                             std::vector<wire::NeighborMsg>& out) {
-  scratch_.clear();
-  wire::encode(scratch_, query);
-  if (!conn_.send(scratch_)) return false;
-  return read_neighbor_stream(out);
+  return send_query(query) && read_neighbor_stream(out);
 }
 
 bool ShardClient::read_neighbor_stream(std::vector<wire::NeighborMsg>& out) {
+  const std::size_t start = out.size();
   for (;;) {
     wire::Message msg;
-    if (!conn_.recv_message(msg)) return false;
-    if (std::holds_alternative<wire::NeighborMsg>(msg)) {
-      out.push_back(std::get<wire::NeighborMsg>(msg));
+    if (!conn_.recv_message(msg)) break;
+    if (const auto* hit = std::get_if<wire::NeighborMsg>(&msg)) {
+      out.push_back(*hit);
       continue;
     }
     if (std::holds_alternative<wire::QueryDoneMsg>(msg)) return true;
     conn_.close();  // protocol violation mid-stream
-    return false;
+    break;
   }
+  out.resize(start);  // a lost leg contributes nothing, not a prefix
+  return false;
 }
 
 }  // namespace mgrid::cluster

@@ -11,12 +11,22 @@
 // forwarding (fire-and-forget — per-LU acks would halve throughput for no
 // information; rejects are visible in the shard's /statusz), tick barriers
 // that await the shard's kAck, point lookups and spatial queries whose
-// kNeighbor streams are read to the kQueryDone terminator. Not thread-safe:
-// the router serializes access per shard.
+// kNeighbor streams are read to the kQueryDone terminator. Requests that
+// the router fans out to every shard come in two halves — send_tick /
+// await_tick_ack, send_query / read_neighbor_stream — so the router can
+// send to all shards before it reads any reply and the shards do the work
+// concurrently; tick(), query_region() and k_nearest() are the two halves
+// composed. Not thread-safe: the router serializes access per shard.
 //
-// All blocking calls are bounded by the connect/io timeouts; a timeout or
-// peer reset closes the connection and returns failure — the caller decides
-// whether to reconnect (the router's health loop does).
+// The connection never goes out of step with its request stream. Every
+// reply is read whole or the connection is closed: a timeout, a peer reset,
+// a malformed frame, a reply of the wrong type or one that answers another
+// request (an ack for a different t, a lookup reply for a different MN)
+// closes it and returns failure, so no later request can read a stale
+// reply. A kRejected ack is the one failure that leaves the connection
+// open, because the ack was consumed. Each blocking read or write is
+// bounded by the io timeout, connects by the connect timeout; the caller
+// decides whether to reconnect (the router does at its next request).
 #pragma once
 
 #include <cstdint>
@@ -119,7 +129,13 @@ class ShardClient {
 
   /// Tick barrier: sends kTick and blocks for the shard's kAck ("all LUs
   /// before the tick are applied and estimates advanced to t").
+  /// send_tick() then await_tick_ack(t).
   bool tick(double t, std::uint64_t tick);
+  /// First half of tick(): sends kTick without waiting.
+  bool send_tick(double t, std::uint64_t tick);
+  /// Second half of tick(): reads one reply. True only for a kOk ack of
+  /// `t`; anything but a kAck echoing `t` also closes the connection.
+  bool await_tick_ack(double t);
 
   [[nodiscard]] std::optional<wire::LookupReplyMsg> lookup(std::uint32_t mn,
                                                            double t);
@@ -130,9 +146,14 @@ class ShardClient {
                     std::vector<wire::NeighborMsg>& out);
   bool k_nearest(const wire::NearestQueryMsg& query,
                  std::vector<wire::NeighborMsg>& out);
+  /// First half of query_region() / k_nearest(): sends the query only.
+  bool send_query(const wire::RegionQueryMsg& query);
+  bool send_query(const wire::NearestQueryMsg& query);
+  /// Second half: appends the kNeighbor stream up to its kQueryDone. On
+  /// failure `out` is left as it was — a lost leg adds no partial stream.
+  bool read_neighbor_stream(std::vector<wire::NeighborMsg>& out);
 
  private:
-  bool read_neighbor_stream(std::vector<wire::NeighborMsg>& out);
 
   ShardClientOptions options_;
   FrameConn conn_;

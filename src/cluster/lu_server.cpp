@@ -184,6 +184,7 @@ void LuServer::serve_connection(int fd) {
   }
   {
     FrameConn conn(fd, options_.poll_seconds);
+    std::vector<std::uint8_t> reply;  // reused by every reply on this fd
     bool handed_off = false;
     while (!handed_off) {
       wire::Message msg;
@@ -197,7 +198,7 @@ void LuServer::serve_connection(int fd) {
         }
         break;
       }
-      if (!dispatch(conn, msg, handed_off)) break;
+      if (!dispatch(conn, msg, reply, handed_off)) break;
     }
     // conn's destructor closes the fd unless dispatch released it.
   }
@@ -206,7 +207,7 @@ void LuServer::serve_connection(int fd) {
 }
 
 bool LuServer::dispatch(FrameConn& conn, wire::Message& msg,
-                        bool& handed_off) {
+                        std::vector<std::uint8_t>& reply, bool& handed_off) {
   if (const auto* lu = std::get_if<wire::LuMsg>(&msg)) {
     lus_.fetch_add(1, std::memory_order_relaxed);
     if (!hooks_.pipeline->submit(*lu)) {
@@ -236,7 +237,7 @@ bool LuServer::dispatch(FrameConn& conn, wire::Message& msg,
     ticks_.fetch_add(1, std::memory_order_relaxed);
     // The directory advanced either way, but a barrier the WAL could not
     // write is not durable: the router must see the tick fail.
-    std::vector<std::uint8_t> reply;
+    reply.clear();
     wire::encode(reply,
                  wire::AckMsg{0,
                               logged ? wire::AckStatus::kOk
@@ -265,7 +266,7 @@ bool LuServer::dispatch(FrameConn& conn, wire::Message& msg,
         out.y = entry->position.y;
       }
     }
-    std::vector<std::uint8_t> reply;
+    reply.clear();
     wire::encode(reply, out);
     return conn.send(reply);
   }
@@ -273,7 +274,7 @@ bool LuServer::dispatch(FrameConn& conn, wire::Message& msg,
     region_queries_.fetch_add(1, std::memory_order_relaxed);
     const std::vector<serve::Neighbor> hits = hooks_.directory->query_region(
         {region->x, region->y}, region->radius, region->max_results);
-    std::vector<std::uint8_t> reply;
+    reply.clear();
     for (const serve::Neighbor& hit : hits) {
       wire::encode(reply, wire::NeighborMsg{hit.mn, hit.distance,
                                             hit.position.x, hit.position.y});
@@ -287,7 +288,7 @@ bool LuServer::dispatch(FrameConn& conn, wire::Message& msg,
     nearest_queries_.fetch_add(1, std::memory_order_relaxed);
     const std::vector<serve::Neighbor> hits =
         hooks_.directory->k_nearest({nearest->x, nearest->y}, nearest->k);
-    std::vector<std::uint8_t> reply;
+    reply.clear();
     for (const serve::Neighbor& hit : hits) {
       wire::encode(reply, wire::NeighborMsg{hit.mn, hit.distance,
                                             hit.position.x, hit.position.y});

@@ -111,8 +111,10 @@ class LuServer {
   void accept_main();
   void worker_main();
   void serve_connection(int fd);
-  /// Dispatches one frame; false = stop serving this connection.
-  bool dispatch(FrameConn& conn, wire::Message& msg, bool& handed_off);
+  /// Dispatches one frame, encoding any reply into the connection's
+  /// `reply` buffer; false = stop serving this connection.
+  bool dispatch(FrameConn& conn, wire::Message& msg,
+                std::vector<std::uint8_t>& reply, bool& handed_off);
 
   LuServerOptions options_;
   LuServerHooks hooks_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 
 #include "obs/http.h"
 
@@ -89,7 +90,7 @@ bool Router::submit(const wire::LuMsg& msg) {
   }
   const std::lock_guard<std::mutex> lock(mutex_);
   if (shards_.empty()) return false;
-  Shard& shard = *by_ring_index_[ring_.owner_index(msg.mn)];
+  Shard& shard = *by_ring_index_[owner_index_locked(msg.mn)];
   shard.batch.push_back(entry);
   if (shard.batch.size() >= options_.batch_size) {
     return send_batch_locked(shard);
@@ -97,8 +98,7 @@ bool Router::submit(const wire::LuMsg& msg) {
   return true;
 }
 
-bool Router::flush() {
-  const std::lock_guard<std::mutex> lock(mutex_);
+bool Router::flush_locked() {
   bool ok = true;
   for (auto& shard : shards_) {
     if (!shard->batch.empty()) ok = send_batch_locked(*shard) && ok;
@@ -106,19 +106,58 @@ bool Router::flush() {
   return ok;
 }
 
-bool Router::tick(double t, std::uint64_t tick) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  bool ok = true;
+template <typename Send, typename Await>
+std::size_t Router::fan_out_locked(const Send& send, const Await& await) {
+  std::size_t failures = 0;
+  awaiting_.clear();
   for (auto& shard : shards_) {
-    if (!shard->batch.empty()) ok = send_batch_locked(*shard) && ok;
-  }
-  for (auto& shard : shards_) {
-    if (!shard->client.connected() && !shard->client.connect()) {
-      ok = false;
+    ShardClient& client = shard->client;
+    if ((!client.connected() && !client.connect()) || !send(client)) {
+      ++failures;
       continue;
     }
-    ok = shard->client.tick(t, tick) && ok;
+    awaiting_.push_back(&client);
   }
+  // A failed reply closes only its own connection (ShardClient), so every
+  // other shard sent to is still read here and no reply is left unread.
+  for (ShardClient* client : awaiting_) {
+    if (!await(*client)) ++failures;
+  }
+  return failures;
+}
+
+template <typename Query>
+std::vector<wire::NeighborMsg> Router::merged_query_locked(const Query& query,
+                                                           std::size_t limit) {
+  flush_locked();
+  std::vector<wire::NeighborMsg> merged;
+  query_failures_.fetch_add(
+      fan_out_locked(
+          [&](ShardClient& client) { return client.send_query(query); },
+          [&](ShardClient& client) {
+            return client.read_neighbor_stream(merged);
+          }),
+      std::memory_order_relaxed);
+  std::sort(merged.begin(), merged.end(), neighbor_less);
+  neighbors_merged_.fetch_add(merged.size(), std::memory_order_relaxed);
+  if (merged.size() > limit) merged.resize(limit);
+  return merged;
+}
+
+bool Router::flush() {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return flush_locked();
+}
+
+bool Router::tick(double t, std::uint64_t tick) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  const bool flushed = flush_locked();
+  // Every shard gets its kTick before any ack is read, so the shards run
+  // their barriers concurrently and the wait is the slowest one's.
+  const std::size_t failures = fan_out_locked(
+      [&](ShardClient& client) { return client.send_tick(t, tick); },
+      [&](ShardClient& client) { return client.await_tick_ack(t); });
+  const bool ok = flushed && failures == 0;
   ticks_.fetch_add(1, std::memory_order_relaxed);
   if (!ok) tick_failures_.fetch_add(1, std::memory_order_relaxed);
   return ok;
@@ -129,7 +168,7 @@ std::optional<wire::LookupReplyMsg> Router::lookup(std::uint32_t mn,
   const std::lock_guard<std::mutex> lock(mutex_);
   if (shards_.empty()) return std::nullopt;
   lookups_.fetch_add(1, std::memory_order_relaxed);
-  Shard* shard = by_ring_index_[ring_.owner_index(mn)];
+  Shard* shard = by_ring_index_[owner_index_locked(mn)];
   // A lookup must see every LU forwarded before it, so the owner's pending
   // batch goes first.
   if (!shard->batch.empty() && !send_batch_locked(*shard)) {
@@ -146,47 +185,17 @@ std::vector<wire::NeighborMsg> Router::query_region(double x, double y,
                                                     std::uint32_t max_results) {
   const std::lock_guard<std::mutex> lock(mutex_);
   region_queries_.fetch_add(1, std::memory_order_relaxed);
-  std::vector<wire::NeighborMsg> merged;
-  for (auto& shard : shards_) {
-    if (!shard->batch.empty()) send_batch_locked(*shard);
-    if (!shard->client.connected() && !shard->client.connect()) {
-      query_failures_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    // Every shard may return up to max_results of its own; the merged
-    // truncation happens below, across shards.
-    if (!shard->client.query_region(
-            wire::RegionQueryMsg{x, y, radius, max_results}, merged)) {
-      query_failures_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  std::sort(merged.begin(), merged.end(), neighbor_less);
-  neighbors_merged_.fetch_add(merged.size(), std::memory_order_relaxed);
-  if (max_results > 0 && merged.size() > max_results) {
-    merged.resize(max_results);
-  }
-  return merged;
+  // Every shard may return up to max_results of its own; the merged
+  // truncation cuts across shards.
+  return merged_query_locked(wire::RegionQueryMsg{x, y, radius, max_results},
+                             max_results > 0 ? max_results : SIZE_MAX);
 }
 
 std::vector<wire::NeighborMsg> Router::k_nearest(double x, double y,
                                                  std::uint32_t k) {
   const std::lock_guard<std::mutex> lock(mutex_);
   nearest_queries_.fetch_add(1, std::memory_order_relaxed);
-  std::vector<wire::NeighborMsg> merged;
-  for (auto& shard : shards_) {
-    if (!shard->batch.empty()) send_batch_locked(*shard);
-    if (!shard->client.connected() && !shard->client.connect()) {
-      query_failures_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    if (!shard->client.k_nearest(wire::NearestQueryMsg{x, y, k}, merged)) {
-      query_failures_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  std::sort(merged.begin(), merged.end(), neighbor_less);
-  neighbors_merged_.fetch_add(merged.size(), std::memory_order_relaxed);
-  if (merged.size() > k) merged.resize(k);
-  return merged;
+  return merged_query_locked(wire::NearestQueryMsg{x, y, k}, k);
 }
 
 bool Router::add_shard(const RouterShardConfig& config, std::string* error) {
@@ -284,7 +293,7 @@ RouterStats Router::stats() const {
 
 std::string Router::owner(std::uint32_t mn) const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  return ring_.owner(mn);
+  return ring_.nodes()[owner_index_locked(mn)];
 }
 
 std::vector<std::string> Router::shard_names() const {
@@ -331,6 +340,21 @@ void Router::reindex_locked() {
         std::lower_bound(names.begin(), names.end(), shard->config.name);
     by_ring_index_[static_cast<std::size_t>(it - names.begin())] = shard.get();
   }
+  owner_table_.clear();
+}
+
+std::size_t Router::owner_index_locked(std::uint32_t mn) const {
+  if (mn >= kOwnerTableLimit || ring_.node_count() > kUnknownOwner) {
+    return ring_.owner_index(mn);
+  }
+  if (mn >= owner_table_.size()) {
+    owner_table_.resize(std::size_t{mn} + 1, kUnknownOwner);
+  }
+  std::uint8_t& owner = owner_table_[mn];
+  if (owner == kUnknownOwner) {
+    owner = static_cast<std::uint8_t>(ring_.owner_index(mn));
+  }
+  return owner;
 }
 
 bool Router::send_batch_locked(Shard& shard) {

@@ -1,20 +1,38 @@
 // Front-end router: one process that makes N shard nodes look like one
 // directory.
 //
-// Writes: each LU hashes onto the ring (cluster/ring.h) and is buffered in
-// its owner shard's batch; a batch is forwarded in one TCP send when it
-// reaches batch_size or at flush(). tick() is the cluster-wide barrier —
-// flush everything, send kTick to every shard, await every kAck — after
-// which all state up to the tick is applied and estimates are advanced
-// everywhere. Because the router preserves per-MN submission order (one MN
-// always maps to one shard batch, appended in arrival order) the union of
-// the shards' directories after tick T equals the single-process directory
-// after tick T, bit-identically — the cluster determinism test's claim.
+// Writes: each LU is buffered in its owner shard's batch; a batch is
+// forwarded in one TCP send when it reaches batch_size or at flush(). The
+// owner comes from the ring (cluster/ring.h), memoised: a byte per MN id
+// below 2^20 holds the owner's ring index, filled on the MN's first LU and
+// cleared on every membership change, so an LU pays one table read instead
+// of 21 probe hashes (ids at or above 2^20 ask the ring every time).
+// tick() is the cluster-wide barrier — flush everything, send kTick to
+// every shard, then read every kAck — after which all state up to the tick
+// is applied and estimates are advanced everywhere. All kTicks go out
+// before the first ack is read, so the shards run their barriers at once
+// and a tick costs the slowest shard's barrier, not the sum. Because the
+// router preserves per-MN submission order (one MN always maps to one
+// shard batch, appended in arrival order) the union of the shards'
+// directories after tick T equals the single-process directory after tick
+// T, bit-identically — the cluster determinism test's claim.
 //
 // Reads: lookups route to the owner shard; spatial queries fan out to every
-// shard and the kNeighbor streams merge by (distance, mn) — the same total
+// shard the same way ticks do (every query sent, then every kNeighbor
+// stream read) and the streams merge by (distance, mn) — the same total
 // order ShardedDirectory uses — truncated to the caller's limit, so a
 // clustered query returns byte-identical results to a single directory.
+//
+// Failures in a fan-out stay with their shard: a shard whose send, reply or
+// ack fails (or that acks kRejected) fails the tick or counts one
+// query_failures, and every other shard's reply is still read, so no
+// connection is left holding a reply that a later request would misread.
+// A failed reply closes its connection (cluster/client.h); the next request
+// reconnects. Replies are read in shard order, each read bounded by
+// io_timeout_seconds. A reply larger than the socket buffers waits in its
+// shard's send until the router reaches it, and an LuServer gives up on a
+// send blocked for poll_seconds (0.25 s): a query with thousands of hits
+// per shard, behind a leg slower than that, loses its leg (counted).
 //
 // Health: an optional background thread probes each shard's admin /readyz
 // (using the hardened obs::http_get with its connect/read deadlines). A
@@ -120,7 +138,9 @@ class Router {
   bool submit(const wire::LuMsg& msg);
   /// Forwards every non-empty batch now.
   bool flush();
-  /// Cluster barrier: flush, kTick to every shard, await every ack.
+  /// Cluster barrier: flush, send kTick to every shard, then await every
+  /// ack, so the shards' barriers run concurrently. False when any shard
+  /// failed to ack kOk; the other shards' acks are read either way.
   bool tick(double t, std::uint64_t tick);
 
   [[nodiscard]] std::optional<wire::LookupReplyMsg> lookup(std::uint32_t mn,
@@ -143,7 +163,7 @@ class Router {
   [[nodiscard]] bool all_ready() const;
   [[nodiscard]] std::vector<ShardHealth> health() const;
   [[nodiscard]] RouterStats stats() const;
-  /// Owner shard name for an MN (current ring).
+  /// Owner shard name for an MN (current ring, through the owner table).
   [[nodiscard]] std::string owner(std::uint32_t mn) const;
   [[nodiscard]] std::vector<std::string> shard_names() const;
 
@@ -161,12 +181,33 @@ class Router {
     explicit Shard(const RouterShardConfig& cfg, const RouterOptions& opts);
   };
 
+  /// Owner table bound: ids below it are memoised, others ask the ring.
+  static constexpr std::uint32_t kOwnerTableLimit = 1u << 20;
+  /// Owner table entry of an MN not looked up since the last membership
+  /// change. A ring of more nodes than this is not memoised at all.
+  static constexpr std::uint8_t kUnknownOwner = 0xFF;
+
   void health_main();
   /// Sends one shard's batch (data mutex held). Clears the batch either
   /// way; failures count lus_dropped.
   bool send_batch_locked(Shard& shard);
-  /// Rebuilds by_ring_index_ after the ring or shards_ changed.
+  /// Sends every non-empty batch (data mutex held).
+  bool flush_locked();
+  /// Sends one request to every shard with send(client), reconnecting a
+  /// closed connection first, then reads each reply with await(client).
+  /// Returns how many shards failed either half.
+  template <typename Send, typename Await>
+  std::size_t fan_out_locked(const Send& send, const Await& await);
+  /// Fans a spatial query out, merges the kNeighbor streams by (distance,
+  /// mn) and keeps the first `limit`; lost legs count query_failures.
+  template <typename Query>
+  std::vector<wire::NeighborMsg> merged_query_locked(const Query& query,
+                                                     std::size_t limit);
+  /// Rebuilds by_ring_index_ and clears the owner table after the ring or
+  /// shards_ changed.
   void reindex_locked();
+  /// ring_.owner_index(mn), through the owner table.
+  [[nodiscard]] std::size_t owner_index_locked(std::uint32_t mn) const;
 
   RouterOptions options_;
 
@@ -177,6 +218,11 @@ class Router {
   /// shards_ by ring node index: by_ring_index_[ring_.owner_index(mn)] is
   /// mn's shard, so routing an LU compares no names.
   std::vector<Shard*> by_ring_index_;
+  /// owner_table_[mn] = ring_.owner_index(mn), or kUnknownOwner; grown to
+  /// the largest id seen below kOwnerTableLimit (1 MiB at most).
+  mutable std::vector<std::uint8_t> owner_table_;
+  /// fan_out_locked's shards still owing a reply (reused per call).
+  std::vector<ShardClient*> awaiting_;
 
   /// Health state (separate lock: probes must not stall submits).
   mutable std::mutex health_mutex_;

@@ -1,16 +1,28 @@
 #include "cluster/router.h"
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <utility>
+#include <variant>
 #include <vector>
 
+#include "cluster/client.h"
 #include "cluster/lu_server.h"
 #include "cluster/ring.h"
 #include "estimation/estimator.h"
@@ -68,6 +80,144 @@ struct ShardNode {
     pipeline->stop();
   }
 };
+
+/// A scripted shard: a plain loopback listener that speaks just enough
+/// mgrid-lu-v1 to drive the router's fan-out into its failure cases. It
+/// serves one connection at a time (a dropped router reconnects to the
+/// same listener) and records the MN of every LU it receives.
+class StubShard {
+ public:
+  struct Script {
+    /// Each kAck is held this long after its kTick arrives.
+    std::chrono::milliseconds tick_delay{0};
+    /// The first this-many ticks are acked kRejected.
+    int reject_ticks = 0;
+    /// The first this-many spatial queries get `hits` and then a closed
+    /// connection instead of a kQueryDone.
+    int drop_queries = 0;
+    /// The kNeighbor stream every spatial query returns.
+    std::vector<wire::NeighborMsg> hits;
+  };
+
+  explicit StubShard(Script script) : script_(std::move(script)) {
+    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = 0;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof(addr);
+    if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), len) != 0 ||
+        ::listen(listen_fd_, 8) != 0 ||
+        ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len) !=
+            0) {
+      ADD_FAILURE() << "stub shard could not listen";
+      return;
+    }
+    port_ = ntohs(addr.sin_port);
+    thread_ = std::thread([this] { serve(); });
+  }
+  ~StubShard() { close(); }
+
+  /// Kills the shard: the live connection drops and connects are refused.
+  void close() {
+    if (!thread_.joinable()) return;
+    stopping_.store(true);
+    ::shutdown(listen_fd_, SHUT_RDWR);
+    thread_.join();
+    ::close(listen_fd_);
+  }
+
+  [[nodiscard]] std::uint16_t port() const { return port_; }
+  [[nodiscard]] std::uint64_t ticks() const { return ticks_.load(); }
+  /// MNs whose LUs arrived since the last call.
+  std::set<std::uint32_t> take_mns() {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return std::exchange(mns_, {});
+  }
+
+ private:
+  void serve() {
+    while (!stopping_.load()) {
+      const int fd = ::accept(listen_fd_, nullptr, nullptr);
+      if (fd < 0) continue;  // shutdown() wakes accept; the loop checks
+      FrameConn conn(fd, 0.05);
+      while (!stopping_.load() && reply(conn)) {
+      }
+    }
+  }
+
+  /// Answers one frame; false once the connection is gone.
+  bool reply(FrameConn& conn) {
+    wire::Message msg;
+    if (!conn.recv_message(msg, /*idle_ok=*/true)) return conn.timed_out();
+    std::vector<std::uint8_t> out;
+    if (const auto* lu = std::get_if<wire::LuMsg>(&msg)) {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      mns_.insert(lu->mn);
+      return true;
+    }
+    if (const auto* tick = std::get_if<wire::TickMsg>(&msg)) {
+      std::this_thread::sleep_for(script_.tick_delay);
+      wire::AckStatus status = wire::AckStatus::kOk;
+      if (script_.reject_ticks > 0) {
+        --script_.reject_ticks;
+        status = wire::AckStatus::kRejected;
+      }
+      ticks_.fetch_add(1);
+      wire::encode(out, wire::AckMsg{0, status, tick->t});
+      return conn.send(out);
+    }
+    if (const auto* lookup = std::get_if<wire::LookupMsg>(&msg)) {
+      wire::encode(out, wire::LookupReplyMsg{lookup->mn, false, false,
+                                             lookup->t, 0.0, 0.0});
+      return conn.send(out);
+    }
+    // Anything else is a spatial query.
+    for (const wire::NeighborMsg& hit : script_.hits) wire::encode(out, hit);
+    if (script_.drop_queries > 0) {
+      --script_.drop_queries;
+      conn.send(out);
+      return false;  // the leg is lost before its kQueryDone
+    }
+    wire::encode(out, wire::QueryDoneMsg{
+                          static_cast<std::uint32_t>(script_.hits.size()),
+                          0.0});
+    return conn.send(out);
+  }
+
+  Script script_;
+  int listen_fd_ = -1;
+  std::uint16_t port_ = 0;
+  std::atomic<bool> stopping_{false};
+  std::atomic<std::uint64_t> ticks_{0};
+  std::mutex mutex_;
+  std::set<std::uint32_t> mns_;
+  std::thread thread_;
+};
+
+RouterShardConfig shard_config(const std::string& name, std::uint16_t port) {
+  RouterShardConfig config;
+  config.name = name;
+  config.lu_port = port;
+  return config;
+}
+
+RouterOptions fan_out_options() {
+  RouterOptions options;
+  options.health_period_seconds = 0.0;
+  options.io_timeout_seconds = 2.0;
+  options.connect_timeout_seconds = 2.0;
+  return options;
+}
+
+/// First MN in [0, 1000) the router places on `name`.
+std::uint32_t mn_owned_by(const Router& router, const std::string& name) {
+  for (std::uint32_t mn = 0; mn < 1000; ++mn) {
+    if (router.owner(mn) == name) return mn;
+  }
+  ADD_FAILURE() << "no MN below 1000 on " << name;
+  return 0;
+}
 
 class RouterTest : public ::testing::Test {
  protected:
@@ -360,6 +510,168 @@ TEST(RouterMembership, LusFollowTheRingAcrossJoinAndLeave) {
 
   // Every shard that is in the ring took a share at every step.
   EXPECT_GT(nodes.at("a")->server->stats().lus, 0u);
+  EXPECT_EQ(router.stats().lus_dropped, 0u);
+  router.stop();
+}
+
+// The barrier is pipelined: every shard gets its kTick before the router
+// reads any ack, so two shards that each hold their ack for D finish in
+// about D, where a shard-by-shard barrier takes 2D.
+TEST(RouterFanOut, TickWaitsForTheSlowestShardNotTheSum) {
+  constexpr auto kHold = std::chrono::milliseconds(100);
+  StubShard a({kHold, 0, 0, {}});
+  StubShard b({kHold, 0, 0, {}});
+  Router router(fan_out_options(),
+                {shard_config("a", a.port()), shard_config("b", b.port())});
+  std::string error;
+  ASSERT_TRUE(router.start(&error)) << error;
+
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(router.tick(1.0, 1));
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_GE(elapsed, kHold);
+  EXPECT_LT(elapsed, kHold * 3 / 2);
+  EXPECT_EQ(a.ticks(), 1u);
+  EXPECT_EQ(b.ticks(), 1u);
+  router.stop();
+}
+
+// A dead shard fails the tick, but the live shard's barrier still runs and
+// its ack is read: the next tick and a lookup on the live shard get their
+// own replies, not a stale ack.
+TEST(RouterFanOut, DeadShardFailsTheTickAndTheLiveShardStillAdvances) {
+  StubShard dead({});
+  ShardNode live;
+  Router router(fan_out_options(), {shard_config("dead", dead.port()),
+                                    shard_config("live", live.server->port())});
+  std::string error;
+  ASSERT_TRUE(router.start(&error)) << error;
+  const std::uint32_t mn = mn_owned_by(router, "live");
+  ASSERT_TRUE(router.submit(walk_lu(mn, 1)));
+  dead.close();
+
+  EXPECT_FALSE(router.tick(1.0, 1));
+  EXPECT_EQ(live.server->stats().ticks, 1u);
+  EXPECT_FALSE(router.tick(2.0, 2));  // the dead shard refuses reconnects
+  EXPECT_EQ(live.server->stats().ticks, 2u);
+  const auto reply = router.lookup(mn, 1.0);
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->mn, mn);
+  EXPECT_TRUE(reply->found);
+  EXPECT_EQ(reply->x, live.directory->lookup(mn)->position.x);
+
+  ASSERT_TRUE(router.remove_shard("dead"));
+  EXPECT_TRUE(router.tick(3.0, 3));
+  EXPECT_EQ(live.server->stats().ticks, 3u);
+  EXPECT_EQ(router.stats().tick_failures, 2u);
+  router.stop();
+}
+
+// A kRejected ack fails the tick without desyncing anything: the other
+// shard's ack is consumed in the same tick, and the next tick succeeds.
+TEST(RouterFanOut, RejectingShardFailsTheTickAndTheOtherAckIsConsumed) {
+  StubShard rejecting({std::chrono::milliseconds(0), 1, 0, {}});
+  ShardNode live;
+  Router router(fan_out_options(),
+                {shard_config("rejecting", rejecting.port()),
+                 shard_config("live", live.server->port())});
+  std::string error;
+  ASSERT_TRUE(router.start(&error)) << error;
+  const std::uint32_t mn = mn_owned_by(router, "live");
+  ASSERT_TRUE(router.submit(walk_lu(mn, 1)));
+
+  EXPECT_FALSE(router.tick(1.0, 1));
+  EXPECT_EQ(rejecting.ticks(), 1u);
+  EXPECT_EQ(live.server->stats().ticks, 1u);
+
+  EXPECT_TRUE(router.tick(2.0, 2));
+  EXPECT_EQ(rejecting.ticks(), 2u);
+  EXPECT_EQ(live.server->stats().ticks, 2u);
+  const auto reply = router.lookup(mn, 1.0);
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->mn, mn);
+  EXPECT_TRUE(reply->found);
+  EXPECT_EQ(reply->x, live.directory->lookup(mn)->position.x);
+  EXPECT_EQ(router.stats().tick_failures, 1u);
+  router.stop();
+}
+
+// A spatial query whose first leg is lost mid-stream returns the other
+// shard's hits only (none of the lost leg's partial stream), counts one
+// failure, and leaves both connections in step for the next requests.
+TEST(RouterFanOut, LostQueryLegReturnsTheOtherShardsHits) {
+  const wire::NeighborMsg lost_hit{7, 1.0, 1.0, 0.0};
+  const wire::NeighborMsg kept_hit{9, 2.0, 0.0, 2.0};
+  StubShard lossy({std::chrono::milliseconds(0), 0, 1, {lost_hit}});
+  StubShard steady({std::chrono::milliseconds(0), 0, 0, {kept_hit}});
+  Router router(fan_out_options(), {shard_config("lossy", lossy.port()),
+                                    shard_config("steady", steady.port())});
+  std::string error;
+  ASSERT_TRUE(router.start(&error)) << error;
+
+  const std::vector<wire::NeighborMsg> first =
+      router.query_region(0.0, 0.0, 10.0);
+  ASSERT_EQ(first.size(), 1u);
+  EXPECT_EQ(first[0].mn, kept_hit.mn);
+  EXPECT_EQ(router.stats().query_failures, 1u);
+
+  // The lossy shard is reconnected; both legs answer in step.
+  const std::vector<wire::NeighborMsg> second =
+      router.query_region(0.0, 0.0, 10.0);
+  ASSERT_EQ(second.size(), 2u);
+  EXPECT_EQ(second[0].mn, lost_hit.mn);
+  EXPECT_EQ(second[1].mn, kept_hit.mn);
+  EXPECT_EQ(router.k_nearest(0.0, 0.0, 1).size(), 1u);
+  EXPECT_TRUE(router.tick(1.0, 1));
+  const auto reply = router.lookup(mn_owned_by(router, "steady"), 1.0);
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_FALSE(reply->found);
+  EXPECT_EQ(router.stats().query_failures, 1u);
+  router.stop();
+}
+
+// The owner table is a memo of the ring: after every membership change
+// each LU still lands on, and Router::owner still names, the shard a
+// freshly built ring picks — for table ids and for ids past the table.
+TEST(RouterMembership, OwnerTableAgreesWithAFreshRingAcrossJoinAndLeave) {
+  std::map<std::string, std::unique_ptr<StubShard>> stubs;
+  for (const char* name : {"a", "b", "c"}) {
+    stubs[name] = std::make_unique<StubShard>(StubShard::Script{});
+  }
+  const auto config = [&](const std::string& name) {
+    return shard_config(name, stubs.at(name)->port());
+  };
+  Router router(fan_out_options(), {config("a"), config("b")});
+  std::string error;
+  ASSERT_TRUE(router.start(&error)) << error;
+
+  std::vector<std::uint32_t> mns;
+  for (std::uint32_t mn = 0; mn < 5000; ++mn) mns.push_back(mn);
+  for (const std::uint32_t mn : {1u << 20, (1u << 20) + 1, 0xFFFFFFFEu}) {
+    mns.push_back(mn);
+  }
+  const auto check = [&](const std::vector<std::string>& members,
+                         std::uint64_t k) {
+    HashRing ring;
+    for (const std::string& name : members) ring.add_node(name);
+    std::map<std::string, std::set<std::uint32_t>> want;
+    for (const std::uint32_t mn : mns) {
+      want[ring.owner(mn)].insert(mn);
+      ASSERT_EQ(router.owner(mn), ring.owner(mn)) << "mn " << mn;
+      ASSERT_TRUE(router.submit(walk_lu(mn, k)));
+    }
+    ASSERT_TRUE(router.tick(static_cast<double>(k), k));
+    for (const auto& [name, stub] : stubs) {
+      EXPECT_EQ(stub->take_mns(), want[name])
+          << "shard " << name << " at tick " << k;
+    }
+  };
+
+  check({"a", "b"}, 1);
+  ASSERT_TRUE(router.add_shard(config("c"), &error)) << error;
+  check({"a", "b", "c"}, 2);
+  ASSERT_TRUE(router.remove_shard("a"));
+  check({"b", "c"}, 3);
   EXPECT_EQ(router.stats().lus_dropped, 0u);
   router.stop();
 }
